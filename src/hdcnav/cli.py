@@ -108,7 +108,7 @@ def cmd_synthesize(args, config):
     kernel.validate()
     out = _merge(args, config, "out", "kernel.json")
     save_kernel(kernel, out)
-    w, wp = kernel.h_to_h, kernel.s_to_h_left
+    w, wp = kernel.h_to_h, kernel.s_to_h
     print(f"kernel n={kernel.n} lambda={lam:g} gamma={gamma:g} -> {out}")
     print(f"symmetry: even residual {np.max(np.abs(w[1:] - w[1:][::-1])):.3e}, "
           f"odd residual {np.max(np.abs(wp[1:] + wp[1:][::-1])):.3e}")

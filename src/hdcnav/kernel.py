@@ -80,7 +80,12 @@ class TuningCurve:
 
 @dataclass(frozen=True)
 class WeightKernel:
-    """Distance-indexed synaptic weight vectors of the three projections.
+    """Distance-indexed synaptic weight vectors of the ring network.
+
+    ``h_to_h`` is the recurrent kernel W. ``s_to_h`` is gamma * W', the
+    shift-left layer's projection onto the heading layer; the shift-right
+    layer projects through its negation, and both shift layers receive
+    W / 2 from the heading layer.
 
     Index ``d`` holds the weight between cells ``d`` steps apart
     (counterclockwise); index 0 is the self-distance and is skipped by the
@@ -88,9 +93,7 @@ class WeightKernel:
     """
 
     h_to_h: np.ndarray
-    h_to_s: np.ndarray
-    s_to_h_left: np.ndarray
-    s_to_h_right: np.ndarray
+    s_to_h: np.ndarray
     gamma: float
     lam: float
     curve: TuningCurve
@@ -101,15 +104,11 @@ class WeightKernel:
 
     def validate(self):
         """Assert the reflection symmetries the synthesis guarantees."""
-        w, wp = self.h_to_h, self.s_to_h_left
+        w, wp = self.h_to_h, self.s_to_h
         if not np.allclose(w[1:], w[1:][::-1], atol=1e-9):
             raise ValueError("recurrent kernel is not even under reflection")
         if not np.allclose(wp[1:], -wp[1:][::-1], atol=1e-9):
             raise ValueError("shift kernel is not odd under reflection")
-        if not np.allclose(self.h_to_s, self.h_to_h / 2.0):
-            raise ValueError("h_to_s must be half the recurrent kernel")
-        if not np.allclose(self.s_to_h_right, -self.s_to_h_left):
-            raise ValueError("s_to_h_right must be the negated left kernel")
 
 
 def target_profile(curve: TuningCurve) -> np.ndarray:
@@ -157,28 +156,25 @@ def build_kernel(curve: TuningCurve = TuningCurve(),
                  lam: float = DEFAULT_LAMBDA,
                  gamma: float = DEFAULT_GAMMA,
                  params: NeuronParams = NeuronParams()) -> WeightKernel:
-    """Assemble all four weight vectors of the network.
+    """Assemble the recurrent and shift kernels of the network.
 
-    The shift-left kernel ``gamma * W'`` moves the activity peak
+    The shift kernel ``gamma * W'`` moves the activity peak
     counterclockwise (toward larger headings) when the shift-left layer is
-    stimulated; the right kernel is its negation.
+    stimulated; the shift-right layer projects through its negation.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     w_hh = synthesize_recurrent(curve, lam, params)
-    w_prime = derivative_kernel(w_hh)
     return WeightKernel(
         h_to_h=w_hh,
-        h_to_s=w_hh / 2.0,
-        s_to_h_left=gamma * w_prime,
-        s_to_h_right=-gamma * w_prime,
+        s_to_h=gamma * derivative_kernel(w_hh),
         gamma=gamma,
         lam=lam,
         curve=curve,
     )
 
 
-_KERNEL_FORMAT_VERSION = 1
+_KERNEL_FORMAT_VERSION = 2
 
 
 def _kernel_document(kernel: WeightKernel) -> dict:
@@ -189,9 +185,7 @@ def _kernel_document(kernel: WeightKernel) -> dict:
         "gamma": kernel.gamma,
         "curve": {"a": kernel.curve.a, "b": kernel.curve.b, "m": kernel.curve.m},
         "w_hh": kernel.h_to_h.tolist(),
-        "w_hs": kernel.h_to_s.tolist(),
-        "w_sh_left": kernel.s_to_h_left.tolist(),
-        "w_sh_right": kernel.s_to_h_right.tolist(),
+        "w_sh": kernel.s_to_h.tolist(),
     }
 
 
@@ -206,15 +200,19 @@ def load_kernel(path) -> WeightKernel:
     """Read a kernel file written by :func:`save_kernel`."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("version") != _KERNEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported kernel file version: {doc.get('version')!r}")
+    version = doc.get("version")
+    if version == 1:
+        raise ValueError(
+            "kernel file version 1 is no longer supported; regenerate the "
+            "kernel with `hdcnav synthesize` and its calibration with "
+            "`hdcnav calibrate`")
+    if version != _KERNEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported kernel file version: {version!r}")
     curve = TuningCurve(a=doc["curve"]["a"], m=doc["curve"]["m"],
                         n=doc["n"], b=doc["curve"]["b"])
     return WeightKernel(
         h_to_h=np.asarray(doc["w_hh"], dtype=float),
-        h_to_s=np.asarray(doc["w_hs"], dtype=float),
-        s_to_h_left=np.asarray(doc["w_sh_left"], dtype=float),
-        s_to_h_right=np.asarray(doc["w_sh_right"], dtype=float),
+        s_to_h=np.asarray(doc["w_sh"], dtype=float),
         gamma=doc["gamma"],
         lam=doc["lambda"],
         curve=curve,

@@ -1,9 +1,15 @@
 """Three-layer ring attractor: one heading layer and two shift layers.
 
-The layers are advanced together with a single block connectivity matrix,
-which keeps the per-step cost at one matrix-vector product plus one
-transfer-function evaluation. Self-connections (cell distance 0) carry no
-weight.
+With recurrent kernel W and shift kernel gamma * W' (see ``kernel``), the
+synaptic inputs are
+
+    u_h     = W f_h + gamma W' (f_L - f_R)
+    u_{L,R} = W f_h / 2 + s_{L,R}
+
+where f are the layers' firing rates and s the turning stimuli. Each
+Euler step therefore costs two n x n ring products, ``W f_h`` (shared by
+all three layers) and ``gamma W' (f_L - f_R)``, plus one transfer-function
+evaluation. Self-connections (cell distance 0) carry no weight.
 """
 
 import json
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import WeightKernel
-from .neuron import NeuronParams
+from .neuron import NeuronParams, transfer
 
 __all__ = ["NetworkState", "TurningStimulus", "HDCNetwork", "decode",
            "DegenerateActivityError"]
@@ -110,37 +116,24 @@ class HDCNetwork:
         self.kernel = kernel
         self.params = params
         self.dt = dt
-        n = kernel.n
-        self.n = n
-        # Block connectivity over the stacked state [hdc, shift_l, shift_r].
-        block = np.zeros((3 * n, 3 * n))
-        block[:n, :n] = _projection(kernel.h_to_h)
-        block[:n, n:2 * n] = _projection(kernel.s_to_h_left)
-        block[:n, 2 * n:] = _projection(kernel.s_to_h_right)
-        block[n:2 * n, :n] = _projection(kernel.h_to_s)
-        block[2 * n:, :n] = _projection(kernel.h_to_s)
-        self._block = block
-        self._rates = np.zeros(3 * n)
-        self._stim = np.zeros(3 * n)
+        self.n = kernel.n
+        self._recurrent = _projection(kernel.h_to_h)
+        self._shift = _projection(kernel.s_to_h)
+        # Rows: heading layer, shift-left layer, shift-right layer.
+        self._rates = np.zeros((3, kernel.n))
         self.sim_time = 0.0
 
     # -- state access ---------------------------------------------------
 
     @property
     def state(self) -> NetworkState:
-        n = self.n
-        return NetworkState(
-            hdc_rates=self._rates[:n].copy(),
-            shift_left_rates=self._rates[n:2 * n].copy(),
-            shift_right_rates=self._rates[2 * n:].copy(),
-            sim_time=self.sim_time,
-        )
+        hdc, left, right = self._rates.copy()
+        return NetworkState(hdc_rates=hdc, shift_left_rates=left,
+                            shift_right_rates=right, sim_time=self.sim_time)
 
     def set_state(self, state: NetworkState):
-        n = self.n
-        self._rates[:n] = state.hdc_rates
-        self._rates[n:2 * n] = state.shift_left_rates
-        self._rates[2 * n:] = state.shift_right_rates
+        self._rates[:] = (state.hdc_rates, state.shift_left_rates,
+                          state.shift_right_rates)
         self.sim_time = state.sim_time
 
     def decode(self) -> float:
@@ -160,39 +153,34 @@ class HDCNetwork:
             raise ValueError("heading must be finite")
         curve = self.kernel.curve
         profile = curve.evaluate(curve.preferred_directions - heading)
-        n = self.n
-        self._rates[:n] = profile
-        self._rates[n:2 * n] = profile / 2.0
-        self._rates[2 * n:] = profile / 2.0
+        self._rates[:] = (profile, profile / 2.0, profile / 2.0)
         self.sim_time = 0.0
         self.run_frame(ZERO_STIMULUS, SETTLE_SECONDS)
         self.sim_time = 0.0
 
-    def step(self, stim: TurningStimulus = ZERO_STIMULUS, dt: float = None):
-        """Advance all three layers by one Euler step."""
-        if dt is None:
-            dt = self.dt
-        self._set_stimulus(stim)
-        self._step_inner(dt)
-        self.sim_time += dt
+    def step(self, stim: TurningStimulus = ZERO_STIMULUS):
+        """Advance all three layers by one Euler step of ``dt``."""
+        self._step_inner(stim, self.dt)
+        self.sim_time += self.dt
 
     def run_frame(self, stim: TurningStimulus, frame_dt: float):
-        """Hold ``stim`` constant for ``frame_dt`` seconds of Euler steps."""
+        """Hold ``stim`` constant for exactly ``frame_dt`` seconds.
+
+        The frame is split into the fewest equal Euler sub-steps no longer
+        than ``dt``, so frames off the ``dt`` grid are not over-integrated.
+        """
         if frame_dt < self.dt:
             raise ValueError(f"frame_dt {frame_dt} shorter than one Euler step {self.dt}")
         n_steps = int(np.ceil(frame_dt / self.dt - 1e-9))
-        self._set_stimulus(stim)
+        sub_dt = frame_dt / n_steps
         for _ in range(n_steps):
-            self._step_inner(self.dt)
+            self._step_inner(stim, sub_dt)
         self.sim_time += frame_dt
 
-    def _set_stimulus(self, stim: TurningStimulus):
-        n = self.n
-        self._stim[n:2 * n] = stim.left
-        self._stim[2 * n:] = stim.right
-
-    def _step_inner(self, dt: float):
-        p = self.params
-        inputs = self._block @ self._rates + self._stim
-        phi = p.r_max / (1.0 + np.exp(-p.beta * (inputs - p.h0)))
-        self._rates += (dt / p.tau) * (phi - self._rates)
+    def _step_inner(self, stim: TurningStimulus, dt: float):
+        hdc, left, right = self._rates
+        drive = self._recurrent @ hdc
+        half = drive / 2.0
+        inputs = np.array((drive + self._shift @ (left - right),
+                           half + stim.left, half + stim.right))
+        self._rates += (dt / self.params.tau) * (transfer(inputs, self.params) - self._rates)

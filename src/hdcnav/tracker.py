@@ -114,7 +114,7 @@ class TrackingReport:
                 ])
 
     _omegas: list = field(default_factory=list)
-    _frame_ms: np.ndarray = None
+    _frame_s: np.ndarray = None
 
 
 def wrapped_error(a: float, b: float) -> float:
@@ -201,7 +201,7 @@ def track(records, kernel: WeightKernel, gain: StimulusGain,
         emit(k, decoded)
 
     report.timing = TimingStats.from_samples(frame_times)
-    report._frame_ms = np.asarray(frame_times) * 1e3
+    report._frame_s = np.asarray(frame_times)
     return report.finalize()
 
 
@@ -211,15 +211,8 @@ def benchmark(records, kernel: WeightKernel, gain: StimulusGain,
     """Aggregate per-frame compute times over repeated replays."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    all_ms = []
+    frame_times = []
     for _ in range(repetitions):
         report = track(records, kernel, gain, params=params)
-        all_ms.append(report._frame_ms)
-    ms = np.concatenate(all_ms)
-    return TimingStats(
-        mean_ms=float(ms.mean()),
-        median_ms=float(np.median(ms)),
-        max_ms=float(ms.max()),
-        pct_over_10ms=float(np.mean(ms > _FRAME_BUDGET_MS) * 100.0),
-        frame_count=len(ms),
-    )
+        frame_times.append(report._frame_s)
+    return TimingStats.from_samples(np.concatenate(frame_times))

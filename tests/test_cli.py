@@ -45,7 +45,7 @@ def test_synthesize_zero_gamma(tmp_path):
     out = tmp_path / "kernel.json"
     assert main(["synthesize", "--gamma", "0", "--out", str(out)]) == 0
     kernel = load_kernel(out)
-    assert np.all(kernel.s_to_h_left == 0.0)
+    assert np.all(kernel.s_to_h == 0.0)
 
 
 def test_generate_track_end_to_end(tmp_path, kernel_file, calibration_file):
@@ -115,6 +115,22 @@ def test_mismatched_calibration_fails(tmp_path, calibration_file):
                  "--calibration", calibration_file,
                  "--trajectory", str(traj)])
     assert code == 1
+
+
+def test_track_rejects_version_1_kernel(tmp_path, kernel_file,
+                                        calibration_file, capsys):
+    with open(kernel_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["version"] = 1
+    old = tmp_path / "kernel_v1.json"
+    old.write_text(json.dumps(doc))
+    traj = tmp_path / "traj.csv"
+    assert main(["generate", "--duration", "1", "--out", str(traj)]) == 0
+    code = main(["track", "--kernel", str(old),
+                 "--calibration", calibration_file,
+                 "--trajectory", str(traj)])
+    assert code == 1
+    assert "hdcnav synthesize" in capsys.readouterr().err
 
 
 def test_missing_file_is_io_error(tmp_path):

@@ -69,15 +69,13 @@ def test_build_kernel_structure(kernel):
     assert kernel.n == 100
     assert kernel.lam == DEFAULT_LAMBDA
     assert kernel.gamma == DEFAULT_GAMMA
-    np.testing.assert_allclose(kernel.h_to_s, kernel.h_to_h / 2.0)
-    np.testing.assert_allclose(kernel.s_to_h_left,
+    np.testing.assert_allclose(kernel.s_to_h,
                                kernel.gamma * derivative_kernel(kernel.h_to_h))
 
 
 def test_zero_gamma_gives_inert_shift_weights():
     k = build_kernel(gamma=0.0)
-    assert np.all(k.s_to_h_left == 0.0)
-    assert np.all(k.s_to_h_right == 0.0)
+    assert np.all(k.s_to_h == 0.0)
 
 
 def test_negative_gamma_rejected():
@@ -85,14 +83,14 @@ def test_negative_gamma_rejected():
         build_kernel(gamma=-0.1)
 
 
-def test_validate_catches_broken_symmetry(kernel):
-    bad = WeightKernel(
-        h_to_h=kernel.h_to_h.copy(),
-        h_to_s=kernel.h_to_s * 1.01,
-        s_to_h_left=kernel.s_to_h_left,
-        s_to_h_right=kernel.s_to_h_right,
-        gamma=kernel.gamma, lam=kernel.lam, curve=kernel.curve)
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("broken", ["h_to_h", "s_to_h"])
+def test_validate_catches_broken_symmetry(kernel, broken):
+    weights = {"h_to_h": kernel.h_to_h.copy(), "s_to_h": kernel.s_to_h.copy()}
+    # Perturbing one side of the ring breaks the even (W) or odd (W') symmetry.
+    weights[broken][1] += 0.01 * np.max(np.abs(weights[broken]))
+    bad = WeightKernel(**weights, gamma=kernel.gamma, lam=kernel.lam,
+                       curve=kernel.curve)
+    with pytest.raises(ValueError, match="even" if broken == "h_to_h" else "odd"):
         bad.validate()
 
 
@@ -126,7 +124,7 @@ def test_save_load_round_trip(tmp_path, kernel):
     save_kernel(kernel, path)
     loaded = load_kernel(path)
     np.testing.assert_array_equal(loaded.h_to_h, kernel.h_to_h)
-    np.testing.assert_array_equal(loaded.s_to_h_left, kernel.s_to_h_left)
+    np.testing.assert_array_equal(loaded.s_to_h, kernel.s_to_h)
     assert loaded.gamma == kernel.gamma
     assert loaded.lam == kernel.lam
     assert kernel_hash(loaded) == kernel_hash(kernel)
@@ -139,13 +137,15 @@ def test_save_is_deterministic(tmp_path, kernel):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_load_rejects_unknown_version(tmp_path, kernel):
+@pytest.mark.parametrize("version", [1, 99])
+def test_load_rejects_unknown_version(tmp_path, kernel, version):
     path = tmp_path / "kernel.json"
     save_kernel(kernel, path)
     doc = json.loads(path.read_text())
-    doc["version"] = 99
+    doc["version"] = version
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="hdcnav synthesize" if version == 1
+                       else "unsupported"):
         load_kernel(path)
 
 

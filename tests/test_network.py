@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from hdcnav.network import (DegenerateActivityError, HDCNetwork, NetworkState,
-                            TurningStimulus, ZERO_STIMULUS, decode)
+from hdcnav.io import SyntheticProfile, generate
+from hdcnav.network import (DEFAULT_DT, SETTLE_SECONDS, DegenerateActivityError,
+                            HDCNetwork, NetworkState, TurningStimulus,
+                            ZERO_STIMULUS, decode)
+from hdcnav.neuron import euler_step
+from hdcnav.tracker import TrajectoryRecord, track
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +156,6 @@ def test_state_to_json(tmp_path, settled):
 
 
 def test_halving_dt_changes_little(kernel, gain):
-    from hdcnav.io import SyntheticProfile, generate
     records = generate(SyntheticProfile("balanced_maze", np.radians(30), 30.0))
     finals = []
     for dt in (0.0005, 0.00025):
@@ -164,3 +169,96 @@ def test_halving_dt_changes_little(kernel, gain):
             net.run_frame(stim, records[k].t - records[k - 1].t)
         finals.append(net.decode())
     assert abs(wrapped_deg(finals[0], finals[1])) < 0.1
+
+
+@pytest.mark.parametrize("frame_dt, jitter", [(0.0103, 0.0), (0.0104, 0.0),
+                                              (0.010, 0.1)])
+def test_off_grid_frames_keep_lap_accuracy(kernel, gain, frame_dt, jitter):
+    # Frames that are not a multiple of dt, fixed or jittered by +-10%,
+    # must integrate exactly their own length.
+    omega = math.radians(20)
+    n_frames = int(round(2 * math.pi / omega / frame_dt))
+    rng = np.random.default_rng(7)
+    t = np.concatenate(([0.0], np.cumsum(
+        frame_dt * (1.0 + rng.uniform(-jitter, jitter, n_frames)))))
+    report = track([TrajectoryRecord(t=float(ti), omega=omega) for ti in t],
+                   kernel, gain)
+    decoded = np.unwrap([s.decoded_heading for s in report.per_sample])
+    accumulated = math.degrees(decoded[-1] - decoded[0] - t[-1] * omega)
+    assert abs(accumulated) < 1.0
+
+
+# -- oracle: the 3n x 3n block-matrix form of the same dynamics ---------
+
+def _block_matrix(kernel):
+    """Connectivity over the stacked state [hdc, shift_left, shift_right]."""
+    n = kernel.n
+    distance = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+
+    def ring(weights):
+        mat = weights[distance]
+        np.fill_diagonal(mat, 0.0)
+        return mat
+
+    w, w_shift = ring(kernel.h_to_h), ring(kernel.s_to_h)
+    half, zero = ring(kernel.h_to_h / 2.0), np.zeros((n, n))
+    return np.block([[w, w_shift, -w_shift],
+                     [half, zero, zero],
+                     [half, zero, zero]])
+
+
+def _block_step(block, rates, stim, dt):
+    n = len(rates) // 3
+    drive = np.concatenate((np.zeros(n), np.full(n, stim.left),
+                            np.full(n, stim.right)))
+    return euler_step(rates, block @ rates + drive, dt)
+
+
+def _stacked(state):
+    return np.concatenate((state.hdc_rates, state.shift_left_rates,
+                           state.shift_right_rates))
+
+
+def _unstacked(rates):
+    hdc, left, right = np.split(rates, 3)
+    return NetworkState(hdc, left, right)
+
+
+def test_step_matches_block_oracle(kernel):
+    block = _block_matrix(kernel)
+    rng = np.random.default_rng(11)
+    net = HDCNetwork(kernel)
+    for _ in range(10):
+        rates = rng.uniform(0.0, 76.2, 3 * kernel.n)
+        stim = TurningStimulus(*rng.uniform(0.0, 1.0, 2))
+        net.set_state(_unstacked(rates))
+        net.step(stim)
+        np.testing.assert_allclose(_stacked(net.state),
+                                   _block_step(block, rates, stim, net.dt),
+                                   rtol=1e-12)
+
+
+def test_maze_replay_matches_block_oracle(kernel, gain):
+    records = generate(SyntheticProfile("balanced_maze", math.radians(30), 90.0))
+    decoded = [s.decoded_heading for s in track(records, kernel, gain).per_sample]
+
+    block = _block_matrix(kernel)
+
+    def run(rates, stim, frame_dt):
+        n_steps = int(np.ceil(frame_dt / DEFAULT_DT - 1e-9))
+        for _ in range(n_steps):
+            rates = _block_step(block, rates, stim, frame_dt / n_steps)
+        return rates
+
+    curve = kernel.curve
+    profile = curve.evaluate(curve.preferred_directions)
+    rates = run(np.concatenate((profile, profile / 2.0, profile / 2.0)),
+                ZERO_STIMULUS, SETTLE_SECONDS)
+    oracle = [decode(_unstacked(rates))]
+    for prev, rec in zip(records, records[1:]):
+        level = gain.stimulus_for(rec.omega)
+        stim = (TurningStimulus(left=level) if rec.omega >= 0.0
+                else TurningStimulus(right=level))
+        rates = run(rates, stim, rec.t - prev.t)
+        oracle.append(decode(_unstacked(rates)))
+    assert np.max(np.abs(wrapped_deg(np.array(decoded), np.array(oracle)))) < 1e-9
