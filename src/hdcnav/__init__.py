@@ -9,10 +9,9 @@ from .network import (NetworkState, TurningStimulus, HDCNetwork, decode,
 from .calibration import (StimulusGain, SweepSample, sweep, fit_gain,
                           save_calibration, load_calibration,
                           CalibrationMismatchError, GainFitError)
-from .tracker import (TrajectoryRecord, SampleResult, TimingStats,
-                      TrackingReport, track, baseline_integrate,
-                      wrapped_error, benchmark)
-from .io import (OxtsLayout, SyntheticProfile, read_csv, write_csv,
-                 read_oxts, generate, TrajectoryFormatError)
+from .tracker import (SampleResult, TimingStats, TrackingReport, track,
+                      baseline_integrate, wrapped_error, benchmark)
+from .io import (TrajectoryRecord, OxtsLayout, SyntheticProfile, read_csv,
+                 write_csv, read_oxts, generate, TrajectoryFormatError)
 
 __version__ = "0.1.0"

@@ -153,9 +153,9 @@ def cmd_track(args, config):
     if samples_path:
         report.to_csv(samples_path)
     if report.mean_error_deg is None:
-        print(f"tracked {len(report.per_sample)} samples (no ground truth)")
+        print(f"tracked {len(report.t)} samples (no ground truth)")
     else:
-        print(f"tracked {len(report.per_sample)} samples: mean |error| "
+        print(f"tracked {len(report.t)} samples: mean |error| "
               f"{report.mean_error_deg:.3f} deg, max {report.max_error_deg:.3f} deg")
     print(f"report -> {report_path}")
     return EXIT_OK
@@ -225,23 +225,23 @@ def build_parser():
     p.add_argument("--sweep-csv", dest="sweep_csv")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("track", help="replay a trajectory and report errors")
-    p.add_argument("--kernel")
-    p.add_argument("--calibration")
-    p.add_argument("--trajectory", help="CSV trajectory (t,omega[,truth])")
-    p.add_argument("--oxts", help="oxts-style directory instead of CSV")
-    p.add_argument("--yaw-column", dest="yaw_column", type=int)
-    p.add_argument("--yaw-rate-column", dest="yaw_rate_column", type=int)
+    replay = argparse.ArgumentParser(add_help=False)
+    replay.add_argument("--kernel")
+    replay.add_argument("--calibration")
+    replay.add_argument("--trajectory", help="CSV trajectory (t,omega[,truth])")
+    replay.add_argument("--oxts", help="oxts-style directory instead of CSV")
+    replay.add_argument("--yaw-column", dest="yaw_column", type=int)
+    replay.add_argument("--yaw-rate-column", dest="yaw_rate_column", type=int)
+
+    p = sub.add_parser("track", parents=[replay],
+                       help="replay a trajectory and report errors")
     p.add_argument("--initial-heading", dest="initial_heading", type=float)
     p.add_argument("--report")
     p.add_argument("--samples", help="per-sample CSV output path")
     p.set_defaults(func=cmd_track)
 
-    p = sub.add_parser("bench", help="latency benchmark over a trajectory")
-    p.add_argument("--kernel")
-    p.add_argument("--calibration")
-    p.add_argument("--trajectory")
-    p.add_argument("--oxts")
+    p = sub.add_parser("bench", parents=[replay],
+                       help="latency benchmark over a trajectory")
     p.add_argument("--repetitions", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)

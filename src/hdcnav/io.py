@@ -14,16 +14,29 @@ from datetime import datetime
 
 import numpy as np
 
-from .tracker import TrajectoryRecord
-
-__all__ = ["OxtsLayout", "SyntheticProfile", "read_csv", "write_csv",
-           "read_oxts", "generate", "TrajectoryFormatError"]
+__all__ = ["TrajectoryRecord", "OxtsLayout", "SyntheticProfile", "read_csv",
+           "write_csv", "read_oxts", "generate", "TrajectoryFormatError"]
 
 TWO_PI = 2.0 * math.pi
 
 
 class TrajectoryFormatError(ValueError):
     """Malformed trajectory input (with file/line context where known)."""
+
+
+@dataclass(frozen=True)
+class TrajectoryRecord:
+    """One timestamped yaw-rate sample, with optional ground-truth yaw."""
+
+    t: float
+    omega: float              # [rad/s]
+    truth_heading: float = None   # [rad] or None
+
+    def __post_init__(self):
+        if not math.isfinite(self.t) or not math.isfinite(self.omega):
+            raise ValueError(f"non-finite trajectory sample at t={self.t!r}")
+        if self.truth_heading is not None and not math.isfinite(self.truth_heading):
+            raise ValueError(f"non-finite truth heading at t={self.t!r}")
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,28 @@
 """Heading tracker: replay angular-velocity trajectories through the ring
 network, decode headings, and compare against ground truth and the
 trapezoid-rule integration baseline.
+
+A replay's report is a set of per-sample numpy columns: the frame loop
+fills the decoded headings and frame times, and the baseline, errors and
+summaries are computed once over whole columns.
 """
 
 import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import StimulusGain
+from .io import TrajectoryRecord  # noqa: F401  (re-exported)
 from .kernel import WeightKernel
 from .network import HDCNetwork, TurningStimulus
 from .neuron import NeuronParams
 
-__all__ = ["TrajectoryRecord", "SampleResult", "TimingStats", "TrackingReport",
-           "track", "baseline_integrate", "wrapped_error", "benchmark"]
+__all__ = ["SampleResult", "TimingStats", "TrackingReport", "track",
+           "baseline_integrate", "wrapped_error", "benchmark"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -25,22 +30,7 @@ TWO_PI = 2.0 * math.pi
 _FRAME_BUDGET_MS = 10.0
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One timestamped yaw-rate sample, with optional ground-truth yaw."""
-
-    t: float
-    omega: float              # [rad/s]
-    truth_heading: float = None   # [rad] or None
-
-    def __post_init__(self):
-        if not math.isfinite(self.t) or not math.isfinite(self.omega):
-            raise ValueError(f"non-finite trajectory sample at t={self.t!r}")
-        if self.truth_heading is not None and not math.isfinite(self.truth_heading):
-            raise ValueError(f"non-finite truth heading at t={self.t!r}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleResult:
     t: float
     decoded_heading: float
@@ -71,83 +61,92 @@ class TimingStats:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrackingReport:
-    per_sample: list = field(default_factory=list)
-    mean_error_deg: float = None
-    max_error_deg: float = None
-    min_error_deg: float = None
-    timing: TimingStats = None
+    t: np.ndarray
+    omega: np.ndarray
+    decoded: np.ndarray
+    baseline: np.ndarray
+    truth: np.ndarray                 # NaN where a sample has no ground truth
+    error_deg: np.ndarray             # decoded vs truth, wrapped; NaN likewise
+    baseline_error_deg: np.ndarray    # baseline vs truth, wrapped; NaN likewise
+    omega_out_of_range: np.ndarray
+    frame_s: np.ndarray               # one per frame, len(t) - 1
+    mean_error_deg: float             # of |error_deg|; None without truth
+    max_error_deg: float
+    min_error_deg: float
+    timing: TimingStats
 
-    def finalize(self):
-        errors = [abs(s.error_deg) for s in self.per_sample if s.error_deg is not None]
-        if errors:
-            self.mean_error_deg = float(np.mean(errors))
-            self.max_error_deg = float(np.max(errors))
-            self.min_error_deg = float(np.min(errors))
-        return self
+    @property
+    def per_sample(self) -> list:
+        """The columns as one SampleResult per sample (None for NaN)."""
+        return [SampleResult(*row) for row in zip(
+            self.t.tolist(), self.decoded.tolist(), self.baseline.tolist(),
+            _or_none(self.truth), _or_none(self.error_deg),
+            _or_none(self.baseline_error_deg), self.omega_out_of_range.tolist())]
 
     def to_json(self, path):
         doc = {
             "mean_error_deg": self.mean_error_deg,
             "max_error_deg": self.max_error_deg,
             "min_error_deg": self.min_error_deg,
-            "timing": None if self.timing is None else vars(self.timing),
-            "samples": len(self.per_sample),
+            "timing": vars(self.timing),
+            "samples": len(self.t),
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
 
     def to_csv(self, path):
+        rows = np.column_stack((self.t, self.omega, self.decoded, self.baseline,
+                                self.truth, self.error_deg, self.baseline_error_deg))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["t", "omega", "decoded", "baseline", "truth",
                              "err_hdc", "err_baseline"])
-            for s, omega in zip(self.per_sample, self._omegas):
-                writer.writerow([
-                    f"{s.t:.9g}", f"{omega:.9g}",
-                    f"{s.decoded_heading:.9g}", f"{s.baseline_heading:.9g}",
-                    "" if s.truth_heading is None else f"{s.truth_heading:.9g}",
-                    "" if s.error_deg is None else f"{s.error_deg:.9g}",
-                    "" if s.baseline_error_deg is None else f"{s.baseline_error_deg:.9g}",
-                ])
-
-    _omegas: list = field(default_factory=list)
-    _frame_s: np.ndarray = None
+            for row in rows:
+                writer.writerow(["" if math.isnan(v) else f"{v:.9g}"
+                                 for v in row.tolist()])
 
 
-def wrapped_error(a: float, b: float) -> float:
-    """Shortest signed angular difference a - b, in degrees in (-180, 180]."""
-    if not (math.isfinite(a) and math.isfinite(b)):
+def _or_none(column) -> list:
+    return [None if math.isnan(v) else v for v in column.tolist()]
+
+
+def wrapped_error(a, b):
+    """Shortest signed angular difference a - b, in degrees in (-180, 180],
+    elementwise; two scalars give a float."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("wrapped_error requires finite angles")
-    d = math.degrees(math.remainder(a - b, TWO_PI))
-    if d <= -180.0:
-        d += 360.0
-    return d
+    # fmod and one exact +-2*pi step give math.remainder(a - b, 2*pi).
+    d = np.fmod(a - b, TWO_PI)
+    d = np.where(d > math.pi, d - TWO_PI, np.where(d < -math.pi, d + TWO_PI, d))
+    d = np.degrees(d)
+    d = np.where(d <= -180.0, d + 360.0, d)
+    return float(d) if d.ndim == 0 else d
 
 
-def _check_monotonic(records):
+def _columns(records, initial_heading):
+    """t, omega, truth (NaN where absent) and trapezoid-baseline columns."""
     if not records:
         raise ValueError("trajectory is empty")
-    for k in range(1, len(records)):
-        if records[k].t <= records[k - 1].t:
-            raise ValueError(
-                f"non-monotonic timestamps: t[{k}]={records[k].t} after "
-                f"t[{k - 1}]={records[k - 1].t}")
+    t, omega, truth = np.fromiter(
+        ((r.t, r.omega, math.nan if r.truth_heading is None else r.truth_heading)
+         for r in records), dtype=(float, 3), count=len(records)).T.copy()
+    dt = np.diff(t)
+    late = np.flatnonzero(dt <= 0.0)
+    if late.size:
+        k = late[0] + 1
+        raise ValueError(f"non-monotonic timestamps: t[{k}]={t[k]} after "
+                         f"t[{k - 1}]={t[k - 1]}")
+    turns = np.concatenate(([0.0], np.cumsum(dt * (omega[1:] + omega[:-1]) / 2.0)))
+    return t, omega, truth, (initial_heading % TWO_PI + turns) % TWO_PI
 
 
 def baseline_integrate(records, initial_heading: float = 0.0) -> np.ndarray:
     """Trapezoid-rule integration of the yaw rate, wrapped to [0, 2*pi)."""
-    _check_monotonic(records)
-    headings = np.empty(len(records))
-    h = initial_heading % TWO_PI
-    headings[0] = h
-    for k in range(1, len(records)):
-        dt = records[k].t - records[k - 1].t
-        h = (h + dt * (records[k].omega + records[k - 1].omega) / 2.0) % TWO_PI
-        headings[k] = h
-    return headings
+    return _columns(records, initial_heading)[3]
 
 
 def track(records, kernel: WeightKernel, gain: StimulusGain,
@@ -158,51 +157,41 @@ def track(records, kernel: WeightKernel, gain: StimulusGain,
     The stimulus for each inter-sample interval is alpha * |omega| of the
     sample closing the interval, applied to the shift layer matching the
     turn direction; the other layer receives zero. Per-frame wall-clock
-    compute times are recorded alongside the decoded headings.
+    compute times are recorded alongside the decoded headings. A replay
+    needs at least two samples, so that it has one frame to time.
     """
-    _check_monotonic(records)
+    if len(records) < 2:
+        raise ValueError(f"track needs at least two samples (one frame), "
+                         f"got {len(records)}")
+    t, omega, truth, baseline = _columns(records, initial_heading)
     net = HDCNetwork(kernel, params)
     net.init_at(initial_heading)
-    baseline = baseline_integrate(records, initial_heading)
 
-    report = TrackingReport()
-    report._omegas = [r.omega for r in records]
-    frame_times = []
-
-    def emit(k, decoded):
+    n = len(t)
+    decoded = np.empty(n)
+    frame_s = np.empty(n - 1)
+    decoded[0] = net.decode()
+    for k in range(1, n):
         rec = records[k]
-        err = base_err = None
-        if rec.truth_heading is not None:
-            err = wrapped_error(decoded, rec.truth_heading)
-            base_err = wrapped_error(baseline[k], rec.truth_heading)
-        report.per_sample.append(SampleResult(
-            t=rec.t,
-            decoded_heading=decoded,
-            baseline_heading=float(baseline[k]),
-            truth_heading=rec.truth_heading,
-            error_deg=err,
-            baseline_error_deg=base_err,
-            omega_out_of_range=abs(rec.omega) > gain.max_velocity,
-        ))
-
-    emit(0, net.decode())
-    for k in range(1, len(records)):
-        rec = records[k]
-        frame_dt = rec.t - records[k - 1].t
         level = gain.stimulus_for(rec.omega)
-        if rec.omega >= 0.0:
-            stim = TurningStimulus(left=level, right=0.0)
-        else:
-            stim = TurningStimulus(left=0.0, right=level)
+        stim = (TurningStimulus(left=level, right=0.0) if rec.omega >= 0.0
+                else TurningStimulus(left=0.0, right=level))
         start = time.perf_counter()
-        net.run_frame(stim, frame_dt)
-        decoded = net.decode()
-        frame_times.append(time.perf_counter() - start)
-        emit(k, decoded)
+        net.run_frame(stim, rec.t - records[k - 1].t)
+        heading = net.decode()
+        frame_s[k - 1] = time.perf_counter() - start
+        decoded[k] = heading
 
-    report.timing = TimingStats.from_samples(frame_times)
-    report._frame_s = np.asarray(frame_times)
-    return report.finalize()
+    known = ~np.isnan(truth)
+    error_deg, baseline_error_deg = np.full(n, math.nan), np.full(n, math.nan)
+    error_deg[known] = wrapped_error(decoded[known], truth[known])
+    baseline_error_deg[known] = wrapped_error(baseline[known], truth[known])
+    abs_error = np.abs(error_deg[known])
+    summary = [float(f(abs_error)) if abs_error.size else None
+               for f in (np.mean, np.max, np.min)]
+    return TrackingReport(t, omega, decoded, baseline, truth, error_deg,
+                          baseline_error_deg, np.abs(omega) > gain.max_velocity,
+                          frame_s, *summary, TimingStats.from_samples(frame_s))
 
 
 def benchmark(records, kernel: WeightKernel, gain: StimulusGain,
@@ -211,8 +200,6 @@ def benchmark(records, kernel: WeightKernel, gain: StimulusGain,
     """Aggregate per-frame compute times over repeated replays."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    frame_times = []
-    for _ in range(repetitions):
-        report = track(records, kernel, gain, params=params)
-        frame_times.append(report._frame_s)
-    return TimingStats.from_samples(np.concatenate(frame_times))
+    return TimingStats.from_samples(np.concatenate(
+        [track(records, kernel, gain, params=params).frame_s
+         for _ in range(repetitions)]))

@@ -179,3 +179,33 @@ def test_config_file_and_flag_override(tmp_path, monkeypatch):
     monkeypatch.setenv("HDCNAV_CONFIG", str(config))
     assert main(["generate"]) == 0
     assert out_env.exists()
+
+
+def test_track_refuses_single_sample(tmp_path, kernel_file, calibration_file,
+                                     capsys):
+    traj = tmp_path / "one.csv"
+    traj.write_text("t,omega,truth\n0,0.1,0\n")
+    code = main(["track", "--kernel", kernel_file,
+                 "--calibration", calibration_file,
+                 "--trajectory", str(traj),
+                 "--report", str(tmp_path / "report.json")])
+    assert code == 1
+    assert "at least two samples" in capsys.readouterr().err
+
+
+def test_bench_reads_oxts_with_yaw_column(tmp_path, kernel_file,
+                                          calibration_file):
+    # Two fields per frame, yaw rate then yaw: the default layout (yaw in
+    # field 5, yaw rate in field 19) cannot read these files.
+    oxts = tmp_path / "oxts"
+    (oxts / "data").mkdir(parents=True)
+    for i in range(20):
+        (oxts / "data" / f"{i:010d}.txt").write_text(f"0.1 {0.001 * i}\n")
+    (oxts / "timestamps.txt").write_text(
+        "".join(f"{0.01 * i:.2f}\n" for i in range(20)))
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--kernel", kernel_file,
+                 "--calibration", calibration_file,
+                 "--oxts", str(oxts), "--yaw-column", "1",
+                 "--yaw-rate-column", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["frame_count"] == 19

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdcnav.io import SyntheticProfile, generate
+from hdcnav.network import HDCNetwork, TurningStimulus
 from hdcnav.tracker import (TimingStats, TrajectoryRecord, baseline_integrate,
                             benchmark, track, wrapped_error)
 
@@ -123,3 +125,121 @@ def test_benchmark_aggregates_repetitions(kernel, gain):
     assert stats.frame_count == 2 * (len(records) - 1)
     with pytest.raises(ValueError):
         benchmark(records, kernel, gain, repetitions=0)
+
+
+# -- columnar report ----------------------------------------------------
+
+TWO_PI = 2 * math.pi
+
+
+def _reference_wrapped(a, b):
+    """Scalar wrapped error, as one sample at a time computes it."""
+    d = math.degrees(math.remainder(a - b, TWO_PI))
+    return d + 360.0 if d <= -180.0 else d
+
+
+def _reference_baseline(records, initial_heading):
+    """Trapezoid baseline, one wrapped step per sample."""
+    h = initial_heading % TWO_PI
+    headings = [h]
+    for prev, rec in zip(records, records[1:]):
+        h = (h + (rec.t - prev.t) * (rec.omega + prev.omega) / 2.0) % TWO_PI
+        headings.append(h)
+    return np.array(headings)
+
+
+def _wrapped_rad(a, b):
+    return np.abs(np.remainder(np.asarray(a) - b + math.pi, TWO_PI) - math.pi)
+
+
+angles = st.one_of(st.floats(-1e3, 1e3),
+                   st.sampled_from([0.0, math.pi, -math.pi, TWO_PI, 3 * math.pi]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(angles, angles), min_size=1, max_size=20))
+def test_wrapped_error_matches_remainder_reference(pairs):
+    a, b = (np.array(col) for col in zip(*pairs))
+    got = wrapped_error(a, b)
+    expected = [_reference_wrapped(x, y) for x, y in pairs]
+    assert got.shape == a.shape
+    assert got.tolist() == pytest.approx(expected, abs=1e-9)
+    assert np.all((got > -180.0) & (got <= 180.0))
+    scalar = wrapped_error(*pairs[0])
+    assert isinstance(scalar, float) and scalar == pytest.approx(expected[0], abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(1e-3, 1.0), st.floats(-10.0, 10.0)),
+                min_size=1, max_size=200),
+       st.floats(-10.0, 10.0))
+def test_baseline_matches_stepwise_reference(steps, initial):
+    t = np.cumsum([dt for dt, _ in steps])
+    records = [TrajectoryRecord(t=float(ti), omega=w)
+               for ti, (_, w) in zip(t, steps)]
+    got = baseline_integrate(records, initial)
+    assert _wrapped_rad(got, _reference_baseline(records, initial)).max() <= 1e-9
+
+
+def test_track_refuses_single_sample(kernel, gain):
+    with pytest.raises(ValueError, match="at least two samples"):
+        track([TrajectoryRecord(t=0.0, omega=0.1, truth_heading=0.0)],
+              kernel, gain)
+
+
+def test_track_columns_match_per_frame_reference(kernel, gain):
+    records = generate(SyntheticProfile("balanced_maze", math.radians(30), 10.0))
+    report = track(records, kernel, gain, initial_heading=0.2)
+    net = HDCNetwork(kernel)
+    net.init_at(0.2)
+    decoded = [net.decode()]
+    for prev, rec in zip(records, records[1:]):
+        level = gain.stimulus_for(rec.omega)
+        net.run_frame(TurningStimulus(left=level, right=0.0) if rec.omega >= 0.0
+                      else TurningStimulus(left=0.0, right=level), rec.t - prev.t)
+        decoded.append(net.decode())
+    truth = [r.truth_heading for r in records]
+    baseline = _reference_baseline(records, 0.2)
+
+    assert report.decoded.tolist() == decoded
+    assert report.t.tolist() == [r.t for r in records]
+    assert report.omega.tolist() == [r.omega for r in records]
+    assert report.truth.tolist() == truth
+    assert np.degrees(_wrapped_rad(report.baseline, baseline)).max() <= 1e-9
+    np.testing.assert_allclose(
+        report.error_deg, [_reference_wrapped(d, h) for d, h in zip(decoded, truth)],
+        rtol=0, atol=1e-9)
+    np.testing.assert_allclose(
+        report.baseline_error_deg,
+        [_reference_wrapped(b, h) for b, h in zip(baseline, truth)], rtol=0, atol=1e-9)
+    assert report.omega_out_of_range.tolist() == \
+        [abs(r.omega) > gain.max_velocity for r in records]
+    assert report.frame_s.shape == (len(records) - 1,)
+
+
+def test_track_with_truth_on_some_rows(tmp_path, kernel, gain):
+    records = [TrajectoryRecord(t=0.01 * i, omega=0.2,
+                                truth_heading=None if i % 3 == 1 else 0.003 * i)
+               for i in range(30)]
+    known = [r.truth_heading is not None for r in records]
+    report = track(records, kernel, gain)
+
+    for column in (report.truth, report.error_deg, report.baseline_error_deg):
+        assert (~np.isnan(column)).tolist() == known
+    samples = report.per_sample
+    for s, has_truth in zip(samples, known):
+        assert (s.truth_heading is not None) == has_truth
+        assert (s.error_deg is not None) == has_truth
+        assert (s.baseline_error_deg is not None) == has_truth
+    errors = [abs(_reference_wrapped(s.decoded_heading, s.truth_heading))
+              for s in samples if s.truth_heading is not None]
+    assert report.mean_error_deg == pytest.approx(np.mean(errors), abs=1e-9)
+    assert report.max_error_deg == pytest.approx(max(errors), abs=1e-9)
+    assert report.min_error_deg == pytest.approx(min(errors), abs=1e-9)
+
+    cpath = tmp_path / "samples.csv"
+    report.to_csv(cpath)
+    with open(cpath) as fh:
+        rows = list(csv.reader(fh))[1:]
+    for row, has_truth in zip(rows, known):
+        assert [cell != "" for cell in row] == [True] * 4 + [has_truth] * 3
