@@ -3,7 +3,8 @@
 A sweep drives the shift-left layer at a range of constant stimulus
 levels and measures the steady drift speed of the activity bump; a
 least-squares line through the origin is then inverted to obtain the
-stimulus gain used by the tracker.
+stimulus gain used by the tracker. All levels run together as the
+columns of one batched network.
 """
 
 import json
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import WeightKernel, kernel_hash
-from .network import DegenerateActivityError, HDCNetwork, TurningStimulus
+from .network import HDCNetwork, TurningStimulus
 from .neuron import NeuronParams
 
 __all__ = ["StimulusGain", "SweepSample", "sweep", "fit_gain",
@@ -24,7 +25,7 @@ __all__ = ["StimulusGain", "SweepSample", "sweep", "fit_gain",
 DEFAULT_STIMULI = (0.01533, 0.023, 0.03067, 0.03833, 0.046,
                    0.05367, 0.06134, 0.06747)
 
-SWEEP_DURATION = 4.0        # seconds per level
+SWEEP_DURATION = 4.0        # simulated seconds, all levels at once
 SWEEP_FRAME_DT = 0.01       # decode sampling interval [s]
 
 # Residual bound deciding which swept velocities count as "linear".
@@ -65,24 +66,26 @@ class StimulusGain:
 
 def measure_drift_velocity(net: HDCNetwork, stimulus: TurningStimulus,
                            duration: float = SWEEP_DURATION,
-                           frame_dt: float = SWEEP_FRAME_DT) -> float:
+                           frame_dt: float = SWEEP_FRAME_DT):
     """Steady bump velocity [rad/s] under a constant stimulus.
 
     The first half of the run is discarded as transient; the slope of the
-    unwrapped decoded heading over the second half is returned.
+    unwrapped decoded heading over the second half is returned. A batched
+    network gives one velocity per column, NaN for a column whose bump
+    collapsed at any frame; a single one raises DegenerateActivityError.
     """
-    headings = [net.decode()]
-    times = [0.0]
     n_frames = int(round(duration / frame_dt))
-    for i in range(n_frames):
+    headings = [net.decode()]
+    for _ in range(n_frames):
         net.run_frame(stimulus, frame_dt)
         headings.append(net.decode())
-        times.append((i + 1) * frame_dt)
-    headings = np.unwrap(np.asarray(headings))
-    times = np.asarray(times)
+    headings = np.unwrap(np.asarray(headings), axis=0)
+    times = frame_dt * np.arange(n_frames + 1)
     half = len(times) // 2
-    slope, _ = np.polyfit(times[half:], headings[half:], 1)
-    return float(slope)
+    # A collapsed column's NaN headings make its slope NaN and no other's:
+    # unwrap and the least-squares fit act on each column alone.
+    slope = np.polyfit(times[half:], headings[half:], 1)[0]
+    return float(slope) if slope.ndim == 0 else slope
 
 
 def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
@@ -90,27 +93,24 @@ def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
           params: NeuronParams = NeuronParams()) -> list:
     """Measure bump velocity for each stimulus level on the shift-left layer.
 
+    One batched network runs every level at once, one column per level.
     Levels at which the bump collapses are reported as degenerate samples
     and later excluded from the fit.
     """
-    stimuli = list(stimuli)
-    if any(s < 0 for s in stimuli):
+    levels = np.asarray(stimuli, dtype=float)
+    if levels.ndim != 1 or levels.size == 0 or not np.isfinite(levels).all():
+        raise ValueError("stimulus levels must be a non-empty list of finite values")
+    if np.any(levels < 0):
         raise ValueError("stimulus levels must be non-negative")
-    if sorted(stimuli) != stimuli:
+    if np.any(np.diff(levels) < 0):
         raise ValueError("stimulus levels must be ascending")
     if duration < 2.0:
         raise ValueError("sweep duration must be at least 2 s")
-    samples = []
-    for level in stimuli:
-        net = HDCNetwork(kernel, params)
-        net.init_at(np.pi)
-        try:
-            v = measure_drift_velocity(net, TurningStimulus(left=level), duration)
-            samples.append(SweepSample(stimulus=level, velocity=v))
-        except DegenerateActivityError:
-            samples.append(SweepSample(stimulus=level, velocity=float("nan"),
-                                       degenerate=True))
-    return samples
+    net = HDCNetwork(kernel, params)
+    net.init_at(np.full(levels.size, np.pi))
+    velocities = measure_drift_velocity(net, TurningStimulus(left=levels), duration)
+    return [SweepSample(stimulus=s, velocity=v, degenerate=bool(np.isnan(v)))
+            for s, v in zip(levels.tolist(), velocities.tolist())]
 
 
 def fit_gain(samples, kernel: WeightKernel = None,

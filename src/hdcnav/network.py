@@ -10,6 +10,10 @@ where f are the layers' firing rates and s the turning stimuli. Each
 Euler step therefore costs two n x n ring products, ``W f_h`` (shared by
 all three layers) and ``gamma W' (f_L - f_R)``, plus one transfer-function
 evaluation. Self-connections (cell distance 0) carry no weight.
+
+``init_at`` with B headings adds a trailing batch axis: B independent
+networks with ``(n, B)`` rates, stepped together by the same code, each
+ring product then one n x B matrix product.
 """
 
 import json
@@ -21,8 +25,9 @@ from .kernel import WeightKernel
 from .neuron import NeuronParams, transfer
 
 __all__ = ["NetworkState", "TurningStimulus", "HDCNetwork", "decode",
-           "DegenerateActivityError"]
+           "wrap_heading", "DegenerateActivityError"]
 
+TWO_PI = 2.0 * np.pi
 SETTLE_SECONDS = 0.5     # 25 tau: relaxation residual below 1e-10
 DEFAULT_DT = 0.0005      # Euler step [s]
 
@@ -37,16 +42,16 @@ class DegenerateActivityError(ValueError):
 
 @dataclass(frozen=True)
 class TurningStimulus:
-    """Uniform input currents injected into the two shift layers."""
+    """Uniform input currents into the two shift layers (scalars or length B)."""
 
     left: float = 0.0
     right: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.left) and np.isfinite(self.right)):
-            raise ValueError("stimulus values must be finite")
-        if self.left < 0.0 or self.right < 0.0:
-            raise ValueError("stimulus values must be non-negative")
+        # NaN fails both comparisons.
+        if not ((np.minimum(self.left, self.right) >= 0.0)
+                & (np.maximum(self.left, self.right) < np.inf)).all():
+            raise ValueError("stimulus values must be finite and non-negative")
 
 
 ZERO_STIMULUS = TurningStimulus(0.0, 0.0)
@@ -87,18 +92,37 @@ def _projection(weights: np.ndarray) -> np.ndarray:
     return mat
 
 
-def decode(state: NetworkState, params: NeuronParams = NeuronParams()) -> float:
-    """Population-vector heading of the HDC layer, in [0, 2*pi)."""
-    f = state.hdc_rates
-    n = len(f)
+def wrap_heading(angle):
+    """Elementwise ``angle`` mod 2*pi in [0, 2*pi); ``%`` alone can give 2*pi."""
+    angle = angle % TWO_PI
+    return angle * (angle < TWO_PI)
+
+
+def _basis(n: int) -> np.ndarray:
     theta = 2.0 * np.pi * np.arange(n) / n
-    s = float(np.dot(f, np.sin(theta)))
-    c = float(np.dot(f, np.cos(theta)))
+    return np.stack((np.sin(theta), np.cos(theta)))
+
+
+def _decode(hdc_rates, basis, params: NeuronParams):
+    s, c = basis @ hdc_rates
+    heading = wrap_heading(np.arctan2(s, c))
     magnitude = np.hypot(s, c)
-    if magnitude <= _DECODE_MAGNITUDE_FRACTION * n * params.r_max:
-        raise DegenerateActivityError(
-            f"population vector magnitude {magnitude:.3g} too small to decode")
-    return float(np.arctan2(s, c) % (2.0 * np.pi))
+    degenerate = magnitude <= _DECODE_MAGNITUDE_FRACTION * len(hdc_rates) * params.r_max
+    if heading.ndim == 0:
+        if degenerate:
+            raise DegenerateActivityError(
+                f"population vector magnitude {magnitude:.3g} too small to decode")
+        return float(heading)
+    heading[degenerate] = np.nan
+    return heading
+
+
+def decode(state: NetworkState, params: NeuronParams = NeuronParams()):
+    """Population-vector heading of the HDC layer, in [0, 2*pi).
+
+    Batched rates give one heading per column, NaN where it is degenerate.
+    """
+    return _decode(state.hdc_rates, _basis(len(state.hdc_rates)), params)
 
 
 class HDCNetwork:
@@ -119,6 +143,7 @@ class HDCNetwork:
         self.n = kernel.n
         self._recurrent = _projection(kernel.h_to_h)
         self._shift = _projection(kernel.s_to_h)
+        self._basis = _basis(kernel.n)
         # Rows: heading layer, shift-left layer, shift-right layer.
         self._rates = np.zeros((3, kernel.n))
         self.sim_time = 0.0
@@ -136,30 +161,34 @@ class HDCNetwork:
                           state.shift_right_rates)
         self.sim_time = state.sim_time
 
-    def decode(self) -> float:
-        return decode(self.state, self.params)
+    def decode(self):
+        """Heading in [0, 2*pi); one per column (NaN if degenerate) in a batch."""
+        return _decode(self._rates[0], self._basis, self.params)
 
     # -- dynamics -------------------------------------------------------
 
-    def init_at(self, heading: float):
+    def init_at(self, heading):
         """Place the activity bump at ``heading`` and let it settle.
 
         The heading layer starts on the closed-form tuning profile rotated
         to the requested direction, the shift layers on half of it; a
         0.5 s zero-stimulus relaxation then brings all layers onto the
-        attractor.
+        attractor. A 1-D array of B headings makes the network a batch of
+        B columns; a scalar keeps it single.
         """
-        if not np.isfinite(heading):
-            raise ValueError("heading must be finite")
+        heading = np.asarray(heading, dtype=float)
+        if heading.ndim > 1 or heading.size == 0 or not np.isfinite(heading).all():
+            raise ValueError("heading must be finite: a scalar or a non-empty 1-D array")
         curve = self.kernel.curve
-        profile = curve.evaluate(curve.preferred_directions - heading)
-        self._rates[:] = (profile, profile / 2.0, profile / 2.0)
+        profile = curve.evaluate(np.subtract.outer(curve.preferred_directions, heading))
+        self._rates = np.stack((profile, profile / 2.0, profile / 2.0))
         self.sim_time = 0.0
         self.run_frame(ZERO_STIMULUS, SETTLE_SECONDS)
         self.sim_time = 0.0
 
     def step(self, stim: TurningStimulus = ZERO_STIMULUS):
         """Advance all three layers by one Euler step of ``dt``."""
+        self._check_batch(stim)
         self._step_inner(stim, self.dt)
         self.sim_time += self.dt
 
@@ -171,11 +200,16 @@ class HDCNetwork:
         """
         if frame_dt < self.dt:
             raise ValueError(f"frame_dt {frame_dt} shorter than one Euler step {self.dt}")
+        self._check_batch(stim)
         n_steps = int(np.ceil(frame_dt / self.dt - 1e-9))
         sub_dt = frame_dt / n_steps
         for _ in range(n_steps):
             self._step_inner(stim, sub_dt)
         self.sim_time += frame_dt
+
+    def _check_batch(self, stim: TurningStimulus):
+        if {np.shape(stim.left), np.shape(stim.right)} - {(), self._rates.shape[2:]}:
+            raise ValueError(f"stimulus does not match the batch shape {self._rates.shape[2:]}")
 
     def _step_inner(self, stim: TurningStimulus, dt: float):
         hdc, left, right = self._rates

@@ -18,7 +18,7 @@ import numpy as np
 from .calibration import StimulusGain
 from .io import TrajectoryRecord  # noqa: F401  (re-exported)
 from .kernel import WeightKernel
-from .network import HDCNetwork, TurningStimulus
+from .network import HDCNetwork, TurningStimulus, wrap_heading
 from .neuron import NeuronParams
 
 __all__ = ["SampleResult", "TimingStats", "TrackingReport", "track",
@@ -141,7 +141,7 @@ def _columns(records, initial_heading):
         raise ValueError(f"non-monotonic timestamps: t[{k}]={t[k]} after "
                          f"t[{k - 1}]={t[k - 1]}")
     turns = np.concatenate(([0.0], np.cumsum(dt * (omega[1:] + omega[:-1]) / 2.0)))
-    return t, omega, truth, (initial_heading % TWO_PI + turns) % TWO_PI
+    return t, omega, truth, wrap_heading(initial_heading % TWO_PI + turns)
 
 
 def baseline_integrate(records, initial_heading: float = 0.0) -> np.ndarray:

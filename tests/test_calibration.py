@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from hdcnav.calibration import (CalibrationMismatchError, GainFitError,
-                                StimulusGain, SweepSample, fit_gain,
-                                load_calibration, save_calibration, sweep)
+from hdcnav import calibration
+from hdcnav.calibration import (SWEEP_FRAME_DT, CalibrationMismatchError,
+                                GainFitError, StimulusGain, SweepSample,
+                                fit_gain, load_calibration, save_calibration,
+                                sweep)
 from hdcnav.kernel import build_kernel
+from hdcnav.network import DegenerateActivityError, HDCNetwork, TurningStimulus
 
 
 def synthetic_samples(slope, levels=(0.01, 0.02, 0.03, 0.04, 0.05, 0.06)):
@@ -65,6 +68,49 @@ def test_sweep_input_validation(kernel):
         sweep(kernel, [-0.01, 0.02])
     with pytest.raises(ValueError):
         sweep(kernel, [0.01, 0.02], duration=1.0)
+
+
+@pytest.mark.parametrize("levels", [[], [0.01, float("nan")],
+                                    [0.01, float("inf")]])
+def test_sweep_refuses_bad_levels_before_simulating(kernel, monkeypatch, levels):
+    def no_network(*args, **kwargs):
+        raise AssertionError("sweep built a network before validating its levels")
+
+    monkeypatch.setattr(calibration, "HDCNetwork", no_network)
+    with pytest.raises(ValueError):
+        sweep(kernel, levels)
+
+
+def _sequential_sweep(kernel, levels, duration):
+    """One network per level, as sweeps were run before batching."""
+    velocities = []
+    for level in levels:
+        net = HDCNetwork(kernel)
+        net.init_at(np.pi)
+        n_frames = int(round(duration / SWEEP_FRAME_DT))
+        try:
+            headings = [net.decode()]
+            for _ in range(n_frames):
+                net.run_frame(TurningStimulus(left=level), SWEEP_FRAME_DT)
+                headings.append(net.decode())
+        except DegenerateActivityError:
+            velocities.append(float("nan"))
+            continue
+        times = SWEEP_FRAME_DT * np.arange(n_frames + 1)
+        half = len(times) // 2
+        velocities.append(np.polyfit(times[half:], np.unwrap(headings)[half:], 1)[0])
+    return np.array(velocities)
+
+
+def test_sweep_matches_sequential_reference(kernel):
+    levels = [0.02, 0.04, 2.0]   # the bump collapses at 2.0
+    samples = sweep(kernel, levels, duration=2.0)
+    reference = _sequential_sweep(kernel, levels, 2.0)
+    assert [s.stimulus for s in samples] == levels
+    assert [s.degenerate for s in samples] == [False, False, True]
+    assert np.isnan(samples[2].velocity) and np.isnan(reference[2])
+    np.testing.assert_allclose([s.velocity for s in samples[:2]], reference[:2],
+                               rtol=0, atol=1e-12)
 
 
 def test_sweep_velocities_increase(kernel):

@@ -47,6 +47,80 @@ def test_decode_rejects_flat_activity():
         decode(state)
 
 
+def test_decode_maps_tiny_negative_angle_to_zero(kernel):
+    # One cell at theta = 0 and a trace on cell n - 1: the population
+    # vector's angle is a tiny negative number, which % 2*pi rounds to 2*pi.
+    rates = np.zeros(kernel.n)
+    rates[0], rates[-1] = 1000.0, 1e-17
+    assert decode(NetworkState(rates, rates, rates)) == 0.0
+    net = HDCNetwork(kernel)
+    net.set_state(NetworkState(rates, rates, rates))
+    assert net.decode() == 0.0
+    batch = np.column_stack((rates, rates))
+    assert decode(NetworkState(batch, batch, batch)).tolist() == [0.0, 0.0]
+
+
+def test_batched_decode_reports_degenerate_columns():
+    n = 100
+    theta = 2 * np.pi * np.arange(n) / n
+    bump = 10.0 + 60.0 * np.exp(5.0 * (np.cos(theta - 1.0) - 1.0))
+    rates = np.column_stack((bump, np.full(n, 10.0), np.roll(bump, 25)))
+    headings = decode(NetworkState(rates, rates, rates))
+    assert headings.shape == (3,)
+    assert np.isnan(headings[1])
+    assert headings[0] == pytest.approx(1.0, abs=1e-6)
+    assert headings[2] == pytest.approx(1.0 + np.pi / 2, abs=1e-6)
+
+
+def test_batch_matches_single_networks(kernel):
+    headings = np.array([0.5, 2.0, 4.0])
+    left, right = np.array([0.03, 0.0, 0.05]), np.array([0.0, 0.04, 0.02])
+    frames = (0.0103, 0.0097, 0.0104) * 10  # off the 0.5 ms Euler grid
+    batch = HDCNetwork(kernel)
+    batch.init_at(headings)
+    for frame_dt in frames:
+        batch.run_frame(TurningStimulus(left, right), frame_dt)
+    batch.step(TurningStimulus(left, right))
+    assert batch.state.hdc_rates.shape == (kernel.n, 3)
+    decoded = batch.decode()
+    for col in range(3):
+        net = HDCNetwork(kernel)
+        net.init_at(headings[col])
+        stim = TurningStimulus(left[col], right[col])
+        for frame_dt in frames:
+            net.run_frame(stim, frame_dt)
+        net.step(stim)
+        single, batched = net.state, batch.state
+        assert single.hdc_rates.shape == (kernel.n,)
+        assert type(net.decode()) is float
+        for layer in ("hdc_rates", "shift_left_rates", "shift_right_rates"):
+            np.testing.assert_allclose(getattr(batched, layer)[:, col],
+                                       getattr(single, layer), rtol=0, atol=1e-12)
+        assert abs(wrapped_deg(decoded[col], net.decode())) < 1e-9
+
+
+def test_batch_refuses_mismatched_stimulus(kernel):
+    net = HDCNetwork(kernel)
+    net.init_at(np.zeros(2))
+    with pytest.raises(ValueError):
+        net.run_frame(TurningStimulus(left=np.zeros(3)), 0.01)
+    with pytest.raises(ValueError):
+        net.step(TurningStimulus(right=np.zeros(kernel.n)))
+    single = HDCNetwork(kernel)
+    single.init_at(0.0)
+    # A length-n stimulus would broadcast over the cells of a single network.
+    with pytest.raises(ValueError):
+        single.run_frame(TurningStimulus(left=np.zeros(kernel.n)), 0.01)
+    with pytest.raises(ValueError):
+        TurningStimulus(left=np.array([0.01, -0.01]))
+    with pytest.raises(ValueError):
+        TurningStimulus(right=np.array([0.01, np.inf]))
+    with pytest.raises(ValueError):
+        single.init_at(np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        single.init_at(np.array([0.0, np.nan]))
+
+
 def test_init_at_grid_consistency(kernel):
     for i in range(0, 100, 10):
         heading = 2 * np.pi * i / 100

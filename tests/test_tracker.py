@@ -49,6 +49,14 @@ def test_baseline_matches_manual_trapezoid():
     np.testing.assert_allclose(headings, expected % (2 * np.pi), atol=1e-12)
 
 
+def test_baseline_maps_tiny_negative_total_to_zero():
+    # -1e-20 rad % 2*pi rounds to exactly 2*pi, outside [0, 2*pi).
+    records = [TrajectoryRecord(t=0.0, omega=-1e-20),
+               TrajectoryRecord(t=1.0, omega=-1e-20)]
+    assert baseline_integrate(records).tolist() == [0.0, 0.0]
+    assert baseline_integrate(records[:1], initial_heading=-1e-300).tolist() == [0.0]
+
+
 def test_baseline_exact_on_clean_constant_profile():
     records = generate(SyntheticProfile("constant_rotation",
                                         math.radians(20), 18.0))
