@@ -11,7 +11,7 @@ from .calibration import (StimulusGain, SweepSample, sweep, fit_gain,
                           CalibrationMismatchError, GainFitError)
 from .tracker import (SampleResult, TimingStats, TrackingReport, track,
                       baseline_integrate, wrapped_error, benchmark)
-from .io import (TrajectoryRecord, OxtsLayout, SyntheticProfile, read_csv,
-                 write_csv, read_oxts, generate, TrajectoryFormatError)
+from .io import (Trajectory, TrajectoryRecord, OxtsLayout, SyntheticProfile,
+                 read_csv, write_csv, read_oxts, generate, TrajectoryFormatError)
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ columns of one batched network.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,8 @@ class CalibrationMismatchError(RuntimeError):
 @dataclass(frozen=True)
 class SweepSample:
     stimulus: float
-    velocity: float       # measured bump velocity [rad/s]; NaN if degenerate
-    degenerate: bool = False
+    velocity: float       # measured bump velocity [rad/s]; NaN if it collapsed
+    degenerate: bool = False   # collapsed, or a positive level moved it <= 0
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,9 @@ def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
     """Measure bump velocity for each stimulus level on the shift-left layer.
 
     One batched network runs every level at once, one column per level.
-    Levels at which the bump collapses are reported as degenerate samples
-    and later excluded from the fit.
+    Levels at which the bump collapses, or at which a positive level does
+    not move it forward (it reverses at strong stimuli), are reported as
+    degenerate samples and later excluded from the fit.
     """
     levels = np.asarray(stimuli, dtype=float)
     if levels.ndim != 1 or levels.size == 0 or not np.isfinite(levels).all():
@@ -109,7 +111,9 @@ def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
     net = HDCNetwork(kernel, params)
     net.init_at(np.full(levels.size, np.pi))
     velocities = measure_drift_velocity(net, TurningStimulus(left=levels), duration)
-    return [SweepSample(stimulus=s, velocity=v, degenerate=bool(np.isnan(v)))
+    # NaN fails v > 0, so a collapsed positive level is caught here too.
+    return [SweepSample(stimulus=s, velocity=v,
+                        degenerate=math.isnan(v) or (s > 0 and not v > 0))
             for s, v in zip(levels.tolist(), velocities.tolist())]
 
 
@@ -118,31 +122,39 @@ def fit_gain(samples, kernel: WeightKernel = None,
     """Least-squares line through the origin, inverted to a stimulus gain.
 
     ``samples`` may be SweepSample objects or (stimulus, velocity) pairs.
-    Degenerate levels are excluded; a fit with R^2 below 0.99 is rejected
-    since it indicates a mis-built kernel or flipped sign convention.
+    Degenerate levels, levels that are not positive and non-finite
+    velocities are excluded, and every error names them; a fit with R^2
+    below 0.99 is rejected since it indicates a mis-built kernel or
+    flipped sign convention.
     """
-    pairs = []
+    pairs, excluded = [], []
     for sample in samples:
         if isinstance(sample, SweepSample):
-            if sample.degenerate:
-                continue
-            pairs.append((sample.stimulus, sample.velocity))
+            s, v, degenerate = sample.stimulus, sample.velocity, sample.degenerate
         else:
-            pairs.append((float(sample[0]), float(sample[1])))
-    pairs = [(s, v) for s, v in pairs if s > 0 and np.isfinite(v)]
+            s, v, degenerate = float(sample[0]), float(sample[1]), False
+        if degenerate:
+            excluded.append(f"{s:g} (degenerate, velocity {v:.4g} rad/s)")
+        elif not s > 0:
+            excluded.append(f"{s:g} (not positive)")
+        elif not np.isfinite(v):
+            excluded.append(f"{s:g} (velocity {v} rad/s)")
+        else:
+            pairs.append((s, v))
+    note = f"; excluded levels: {', '.join(excluded)}" if excluded else ""
     if len(pairs) < _MIN_FIT_SAMPLES:
         raise GainFitError(f"need at least {_MIN_FIT_SAMPLES} usable samples, "
-                           f"got {len(pairs)}")
+                           f"got {len(pairs)}{note}")
     s = np.array([p[0] for p in pairs])
     v = np.array([p[1] for p in pairs])
     slope = float(np.dot(s, v) / np.dot(s, s))
     if slope <= 0:
-        raise GainFitError(f"non-positive velocity/stimulus slope {slope:.4g}")
+        raise GainFitError(f"non-positive velocity/stimulus slope {slope:.4g}{note}")
     residuals = v - slope * s
     ss_tot = float(np.sum((v - v.mean()) ** 2))
     r2 = 1.0 - float(np.sum(residuals ** 2)) / ss_tot if ss_tot > 0 else 1.0
     if r2 < _MIN_FIT_R2:
-        raise GainFitError(f"sweep is not linear: R^2 = {r2:.4f} < {_MIN_FIT_R2}")
+        raise GainFitError(f"sweep is not linear: R^2 = {r2:.4f} < {_MIN_FIT_R2}{note}")
     within = np.abs(residuals) < _LINEAR_RESIDUAL_FRACTION * np.abs(v)
     max_velocity = float(np.max(np.abs(v[within]))) if np.any(within) else 0.0
     return StimulusGain(

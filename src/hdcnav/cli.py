@@ -144,9 +144,9 @@ def cmd_calibrate(args, config):
 
 def cmd_track(args, config):
     kernel, gain = _load_kernel_and_gain(args, config)
-    records = _load_trajectory(args, config)
+    trajectory = _load_trajectory(args, config)
     initial = float(_merge(args, config, "initial_heading", 0.0))
-    report = track(records, kernel, gain, initial_heading=initial)
+    report = track(trajectory, kernel, gain, initial_heading=initial)
     report_path = _merge(args, config, "report", "report.json")
     report.to_json(report_path)
     samples_path = _merge(args, config, "samples")
@@ -163,9 +163,9 @@ def cmd_track(args, config):
 
 def cmd_bench(args, config):
     kernel, gain = _load_kernel_and_gain(args, config)
-    records = _load_trajectory(args, config)
+    trajectory = _load_trajectory(args, config)
     reps = int(_merge(args, config, "repetitions", 1))
-    stats = benchmark(records, kernel, gain, repetitions=reps)
+    stats = benchmark(trajectory, kernel, gain, repetitions=reps)
     out = _merge(args, config, "out", "bench.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(vars(stats), fh, indent=1)
@@ -187,11 +187,11 @@ def cmd_generate(args, config):
         noise_sigma=float(_merge(args, config, "noise_sigma", 0.0)),
         seed=int(_merge(args, config, "seed", 0)),
     )
-    records = generate(profile)
+    trajectory = generate(profile)
     out = _merge(args, config, "out", "trajectory.csv")
-    write_csv(records, out)
-    print(f"{profile.kind}: {len(records)} samples over "
-          f"{records[-1].t:.2f} s -> {out}")
+    write_csv(trajectory, out)
+    print(f"{profile.kind}: {len(trajectory)} samples over "
+          f"{trajectory.t[-1]:.2f} s -> {out}")
     return EXIT_OK
 
 

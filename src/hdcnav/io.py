@@ -1,9 +1,14 @@
 """Trajectory ingestion and synthetic trajectory generation.
 
-The canonical interchange format is a small CSV ("t,omega[,truth]"); a
-KITTI-style oxts directory adapter maps raw IMU logs onto it. Synthetic
-profiles reproduce the simulation experiments: constant rotation, a
-balanced maze-like turn sequence, and a noisy variant of the latter.
+A trajectory is one frozen ``Trajectory`` of three numpy columns: sample
+times ``t`` [s], yaw rate ``omega`` [rad/s] and ground-truth yaw
+``truth`` [rad], NaN where a sample has none. Its constructor is the one
+place where a trajectory is validated. The canonical interchange format
+is a small CSV ("t,omega[,truth]"), parsed in one vectorised pass; a
+KITTI-style oxts directory adapter maps raw IMU logs onto the same
+columns. Synthetic profiles reproduce the simulation experiments:
+constant rotation, a balanced maze-like turn sequence, and a noisy
+variant of the latter.
 """
 
 import csv
@@ -11,32 +16,83 @@ import math
 import os
 from dataclasses import dataclass
 from datetime import datetime
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["TrajectoryRecord", "OxtsLayout", "SyntheticProfile", "read_csv",
-           "write_csv", "read_oxts", "generate", "TrajectoryFormatError"]
+__all__ = ["Trajectory", "TrajectoryRecord", "OxtsLayout", "SyntheticProfile",
+           "read_csv", "write_csv", "read_oxts", "generate",
+           "TrajectoryFormatError"]
 
 TWO_PI = 2.0 * math.pi
 
 
 class TrajectoryFormatError(ValueError):
-    """Malformed trajectory input (with file/line context where known)."""
+    """Malformed trajectory input (with file/line context where known).
+
+    ``sample`` is the index of the sample at fault, where there is one, and
+    ``reason`` the message without it.
+    """
+
+    def __init__(self, reason, sample=None):
+        super().__init__(reason if sample is None else f"sample {sample}: {reason}")
+        self.reason = reason
+        self.sample = sample
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One timestamped yaw-rate sample, with optional ground-truth yaw."""
+class TrajectoryRecord(NamedTuple):
+    """One sample of a trajectory; ``truth`` is NaN where it has none."""
 
     t: float
     omega: float              # [rad/s]
-    truth_heading: float = None   # [rad] or None
+    truth: float              # [rad]
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Timestamped yaw-rate samples as three read-only float columns.
+
+    ``truth`` is the ground-truth yaw, NaN where a sample has none; left
+    out, no sample has one. The columns are copied and checked here: one
+    length, at least one sample, finite ``t`` and ``omega``, ``truth``
+    finite or NaN, and ``t`` strictly increasing. An error names the
+    sample at fault. An int index gives one ``TrajectoryRecord`` of Python
+    floats; a slice gives a ``Trajectory``.
+    """
+
+    t: np.ndarray
+    omega: np.ndarray
+    truth: np.ndarray = None
 
     def __post_init__(self):
-        if not math.isfinite(self.t) or not math.isfinite(self.omega):
-            raise ValueError(f"non-finite trajectory sample at t={self.t!r}")
-        if self.truth_heading is not None and not math.isfinite(self.truth_heading):
-            raise ValueError(f"non-finite truth heading at t={self.t!r}")
+        t = np.array(self.t, dtype=float)
+        omega = np.array(self.omega, dtype=float)
+        truth = (np.full(t.shape, math.nan) if self.truth is None
+                 else np.array(self.truth, dtype=float))
+        if t.ndim != 1 or omega.shape != t.shape or truth.shape != t.shape:
+            raise TrajectoryFormatError(
+                "t, omega and truth must be 1-D columns of one length, got shapes "
+                f"{t.shape}, {omega.shape} and {truth.shape}")
+        if t.size == 0:
+            raise TrajectoryFormatError("no samples")
+        bad = np.flatnonzero(~(np.isfinite(t) & np.isfinite(omega)) | np.isinf(truth))
+        if bad.size:
+            raise TrajectoryFormatError("non-finite value", int(bad[0]))
+        late = np.flatnonzero(np.diff(t) <= 0.0)
+        if late.size:
+            k = int(late[0]) + 1
+            raise TrajectoryFormatError(f"timestamp {t[k]} not after {t[k - 1]}", k)
+        for name, column in (("t", t), ("omega", omega), ("truth", truth)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self):
+        return len(self.t)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Trajectory(self.t[k], self.omega[k], self.truth[k])
+        return TrajectoryRecord(self.t.item(k), self.omega.item(k), self.truth.item(k))
 
 
 @dataclass(frozen=True)
@@ -76,55 +132,87 @@ class SyntheticProfile:
 
 # -- CSV ----------------------------------------------------------------
 
-def read_csv(path):
-    """Read a "t,omega[,truth]" CSV into a list of TrajectoryRecords."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+def _truth_cell(cell: str) -> float:
+    """A truth cell: blank is "no truth" (NaN); a written NaN is refused."""
+    if not cell.strip():
+        return math.nan
+    value = float(cell)
+    if math.isnan(value):
+        raise ValueError("NaN truth: leave the cell blank for no truth")
+    return value
+
+
+def _parse_rows(rows, width: int) -> np.ndarray:
+    """The data lines as a (rows, width) float array, in one pass."""
+    data = np.loadtxt(rows, dtype=float, delimiter=",", comments=None,
+                      quotechar='"', ndmin=2,
+                      converters={2: _truth_cell} if width == 3 else None)
+    if data.shape[1] != width:
+        raise ValueError("field count differs from the header")
+    return data
+
+
+def _numbered_rows(lines):
+    """(line number, text) of each data line: the non-blank ones after the header."""
+    return [(i, line) for i, line in enumerate(lines[1:], start=2) if line.strip()]
+
+
+def _bad_line_error(path, lines, width: int) -> TrajectoryFormatError:
+    """Name the first data line that fails to parse on its own."""
+    for lineno, line in _numbered_rows(lines):
+        fields = len(next(csv.reader([line])))
+        if fields != width:
+            return TrajectoryFormatError(
+                f"{path}:{lineno}: {fields} fields, header has {width}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise TrajectoryFormatError(f"{path}: empty file") from None
-        cols = [c.strip().lower() for c in header]
-        if cols[:2] != ["t", "omega"] or len(cols) > 3 or \
-                (len(cols) == 3 and cols[2] != "truth"):
-            raise TrajectoryFormatError(
-                f"{path}: header must be 't,omega[,truth]', got {','.join(header)!r}")
-        has_truth = len(cols) == 3
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                t = float(row[0])
-                omega = float(row[1])
-                truth = None
-                if has_truth and len(row) > 2 and row[2].strip() != "":
-                    truth = float(row[2])
-            except (ValueError, IndexError):
-                raise TrajectoryFormatError(
-                    f"{path}:{lineno}: cannot parse row {row!r}") from None
-            if not math.isfinite(t) or not math.isfinite(omega) or \
-                    (truth is not None and not math.isfinite(truth)):
-                raise TrajectoryFormatError(f"{path}:{lineno}: non-finite value")
-            if records and t <= records[-1].t:
-                raise TrajectoryFormatError(
-                    f"{path}:{lineno}: timestamp {t} not after {records[-1].t}")
-            records.append(TrajectoryRecord(t=t, omega=omega, truth_heading=truth))
-    if not records:
+            _parse_rows([line], width)
+        except ValueError:
+            return TrajectoryFormatError(f"{path}:{lineno}: cannot parse row {line!r}")
+    return TrajectoryFormatError(f"{path}: cannot parse the data rows")
+
+
+def read_csv(path) -> Trajectory:
+    """Read a "t,omega[,truth]" CSV into a Trajectory.
+
+    Each data row has exactly the header's fields. A blank truth cell
+    means the sample has no truth; blank and whitespace-only lines are
+    skipped. Every error on a data row names its ``path:line``.
+    """
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if not text:
+        raise TrajectoryFormatError(f"{path}: empty file")
+    lines = text.split("\n")
+    header = next(csv.reader(lines[:1]))
+    cols = [c.strip().lower() for c in header]
+    if cols not in (["t", "omega"], ["t", "omega", "truth"]):
+        raise TrajectoryFormatError(
+            f"{path}: header must be 't,omega[,truth]', got {','.join(header)!r}")
+    rows = [line for line in lines[1:] if line.strip()]
+    if not rows:
         raise TrajectoryFormatError(f"{path}: no data rows")
-    return records
+    try:
+        data = _parse_rows(rows, len(cols))
+    except ValueError:
+        raise _bad_line_error(path, lines, len(cols)) from None
+    try:
+        return Trajectory(*data.T)
+    except TrajectoryFormatError as exc:
+        lineno = _numbered_rows(lines)[exc.sample][0]
+        raise TrajectoryFormatError(f"{path}:{lineno}: {exc.reason}") from None
 
 
-def write_csv(records, path):
-    """Write records in the canonical CSV schema (UTF-8, LF endings)."""
-    has_truth = any(r.truth_heading is not None for r in records)
+def write_csv(trajectory: Trajectory, path):
+    """Write a trajectory in the canonical CSV schema (UTF-8, LF endings)."""
+    has_truth = not np.isnan(trajectory.truth).all()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "omega", "truth"] if has_truth else ["t", "omega"])
-        for r in records:
-            row = [f"{r.t:.9g}", f"{r.omega:.12g}"]
+        for t, omega, truth in zip(trajectory.t.tolist(), trajectory.omega.tolist(),
+                                   trajectory.truth.tolist()):
+            row = [f"{t:.9g}", f"{omega:.12g}"]
             if has_truth:
-                row.append("" if r.truth_heading is None else f"{r.truth_heading:.12g}")
+                row.append("" if math.isnan(truth) else f"{truth:.12g}")
             writer.writerow(row)
 
 
@@ -149,8 +237,8 @@ def _parse_timestamp(line: str) -> float:
     return stamp.timestamp()
 
 
-def read_oxts(directory, layout: OxtsLayout = OxtsLayout()):
-    """Read an oxts-style directory into a trajectory.
+def read_oxts(directory, layout: OxtsLayout = OxtsLayout()) -> Trajectory:
+    """Read an oxts-style directory into a Trajectory.
 
     Expects per-frame whitespace-separated numeric files (in ``data/`` or
     directly in the directory) and a ``timestamps.txt`` with one line per
@@ -171,10 +259,9 @@ def read_oxts(directory, layout: OxtsLayout = OxtsLayout()):
             f"{directory}: {len(frames)} data files but {len(stamps)} timestamps")
     if not frames:
         raise TrajectoryFormatError(f"{directory}: no data files")
-    t0 = stamps[0]
     needed = max(layout.yaw_column, layout.yaw_rate_column)
-    records = []
-    for name, stamp in zip(frames, stamps):
+    yaws, rates = [], []
+    for name in frames:
         path = os.path.join(data_dir, name)
         with open(path, encoding="utf-8") as fh:
             fields = fh.read().split()
@@ -182,19 +269,19 @@ def read_oxts(directory, layout: OxtsLayout = OxtsLayout()):
             raise TrajectoryFormatError(
                 f"{path}: only {len(fields)} fields, need index {needed}")
         try:
-            yaw = float(fields[layout.yaw_column])
-            rate = float(fields[layout.yaw_rate_column])
+            yaws.append(float(fields[layout.yaw_column]))
+            rates.append(float(fields[layout.yaw_rate_column]))
         except ValueError:
             raise TrajectoryFormatError(f"{path}: non-numeric field") from None
-        if not (math.isfinite(yaw) and math.isfinite(rate)):
-            raise TrajectoryFormatError(f"{path}: non-finite field")
-        t = stamp - t0
-        if records and t <= records[-1].t:
-            raise TrajectoryFormatError(
-                f"{directory}: non-monotonic timestamp for {name}")
-        records.append(TrajectoryRecord(t=t, omega=rate,
-                                        truth_heading=yaw % TWO_PI))
-    return records
+        # A NaN yaw, or an infinite one once wrapped, would read as "no truth".
+        if not math.isfinite(yaws[-1]):
+            raise TrajectoryFormatError(f"{path}: non-finite yaw")
+    try:
+        return Trajectory(np.array(stamps) - stamps[0], rates,
+                          np.array(yaws) % TWO_PI)
+    except TrajectoryFormatError as exc:
+        path = os.path.join(data_dir, frames[exc.sample])
+        raise TrajectoryFormatError(f"{path}: {exc.reason}") from None
 
 
 # -- synthetic profiles -------------------------------------------------
@@ -252,7 +339,7 @@ def _sample_segments(segments, frame_dt: float):
     return ts, omega_out, truth_out
 
 
-def generate(profile: SyntheticProfile):
+def generate(profile: SyntheticProfile) -> Trajectory:
     """Generate a trajectory with closed-form exact truth headings."""
     if profile.kind == "constant_rotation":
         n = int(round(profile.duration / profile.frame_dt))
@@ -267,6 +354,4 @@ def generate(profile: SyntheticProfile):
         ts, omega, truth = _sample_segments(segments, profile.frame_dt)
         rng = np.random.default_rng(profile.seed)
         omega = omega + rng.normal(0.0, profile.noise_sigma, len(omega))
-    return [TrajectoryRecord(t=float(t), omega=float(w),
-                             truth_heading=float(h % TWO_PI))
-            for t, w, h in zip(ts, omega, truth)]
+    return Trajectory(ts, omega, truth % TWO_PI)

@@ -28,7 +28,12 @@ __all__ = ["NetworkState", "TurningStimulus", "HDCNetwork", "decode",
            "wrap_heading", "DegenerateActivityError"]
 
 TWO_PI = 2.0 * np.pi
-SETTLE_SECONDS = 0.5     # 25 tau: relaxation residual below 1e-10
+# 25 tau of zero-stimulus relaxation before a replay or sweep. It fixes the
+# bump's position (it then moves about 1e-14 rad in the next 10 s) but not
+# its shape: with the default kernel the heading-layer rates (peak 73 Hz)
+# still change by up to 1.5 Hz from 0.5 to 1.0 s and 0.14 Hz from 2.5 to
+# 4.5 s, counted from the start of the relaxation.
+SETTLE_SECONDS = 0.5
 DEFAULT_DT = 0.0005      # Euler step [s]
 
 # Fraction of n * r_max below which the population vector is considered
@@ -172,9 +177,10 @@ class HDCNetwork:
 
         The heading layer starts on the closed-form tuning profile rotated
         to the requested direction, the shift layers on half of it; a
-        0.5 s zero-stimulus relaxation then brings all layers onto the
-        attractor. A 1-D array of B headings makes the network a batch of
-        B columns; a scalar keeps it single.
+        0.5 s zero-stimulus relaxation follows. It leaves the bump at
+        ``heading`` but not yet at its final shape (see
+        ``SETTLE_SECONDS``). A 1-D array of B headings makes the network a
+        batch of B columns; a scalar keeps it single.
         """
         heading = np.asarray(heading, dtype=float)
         if heading.ndim > 1 or heading.size == 0 or not np.isfinite(heading).all():

@@ -2,9 +2,10 @@
 network, decode headings, and compare against ground truth and the
 trapezoid-rule integration baseline.
 
-A replay's report is a set of per-sample numpy columns: the frame loop
-fills the decoded headings and frame times, and the baseline, errors and
-summaries are computed once over whole columns.
+A replay reads a ``Trajectory`` (``io``): the frame loop indexes its
+``t`` and ``omega`` columns as plain lists and fills the decoded headings
+and frame times. The report is a set of per-sample numpy columns; the
+baseline, errors and summaries are computed once over whole columns.
 """
 
 import csv
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import StimulusGain
-from .io import TrajectoryRecord  # noqa: F401  (re-exported)
+from .io import Trajectory
 from .kernel import WeightKernel
 from .network import HDCNetwork, TurningStimulus, wrap_heading
 from .neuron import NeuronParams
@@ -127,29 +128,15 @@ def wrapped_error(a, b):
     return float(d) if d.ndim == 0 else d
 
 
-def _columns(records, initial_heading):
-    """t, omega, truth (NaN where absent) and trapezoid-baseline columns."""
-    if not records:
-        raise ValueError("trajectory is empty")
-    t, omega, truth = np.fromiter(
-        ((r.t, r.omega, math.nan if r.truth_heading is None else r.truth_heading)
-         for r in records), dtype=(float, 3), count=len(records)).T.copy()
-    dt = np.diff(t)
-    late = np.flatnonzero(dt <= 0.0)
-    if late.size:
-        k = late[0] + 1
-        raise ValueError(f"non-monotonic timestamps: t[{k}]={t[k]} after "
-                         f"t[{k - 1}]={t[k - 1]}")
-    turns = np.concatenate(([0.0], np.cumsum(dt * (omega[1:] + omega[:-1]) / 2.0)))
-    return t, omega, truth, wrap_heading(initial_heading % TWO_PI + turns)
-
-
-def baseline_integrate(records, initial_heading: float = 0.0) -> np.ndarray:
+def baseline_integrate(trajectory: Trajectory,
+                       initial_heading: float = 0.0) -> np.ndarray:
     """Trapezoid-rule integration of the yaw rate, wrapped to [0, 2*pi)."""
-    return _columns(records, initial_heading)[3]
+    t, omega = trajectory.t, trajectory.omega
+    turns = np.concatenate(([0.0], np.cumsum(np.diff(t) * (omega[1:] + omega[:-1]) / 2.0)))
+    return wrap_heading(initial_heading % TWO_PI + turns)
 
 
-def track(records, kernel: WeightKernel, gain: StimulusGain,
+def track(trajectory: Trajectory, kernel: WeightKernel, gain: StimulusGain,
           initial_heading: float = 0.0,
           params: NeuronParams = NeuronParams()) -> TrackingReport:
     """Replay a trajectory through the network and collect the report.
@@ -160,28 +147,30 @@ def track(records, kernel: WeightKernel, gain: StimulusGain,
     compute times are recorded alongside the decoded headings. A replay
     needs at least two samples, so that it has one frame to time.
     """
-    if len(records) < 2:
-        raise ValueError(f"track needs at least two samples (one frame), "
-                         f"got {len(records)}")
-    t, omega, truth, baseline = _columns(records, initial_heading)
+    n = len(trajectory)
+    if n < 2:
+        raise ValueError(f"track needs at least two samples (one frame), got {n}")
     net = HDCNetwork(kernel, params)
     net.init_at(initial_heading)
 
-    n = len(t)
+    # Python floats: numpy scalars would slow every frame's arithmetic.
+    t, omega = trajectory.t.tolist(), trajectory.omega.tolist()
     decoded = np.empty(n)
     frame_s = np.empty(n - 1)
     decoded[0] = net.decode()
     for k in range(1, n):
-        rec = records[k]
-        level = gain.stimulus_for(rec.omega)
-        stim = (TurningStimulus(left=level, right=0.0) if rec.omega >= 0.0
+        w = omega[k]
+        level = gain.stimulus_for(w)
+        stim = (TurningStimulus(left=level, right=0.0) if w >= 0.0
                 else TurningStimulus(left=0.0, right=level))
         start = time.perf_counter()
-        net.run_frame(stim, rec.t - records[k - 1].t)
+        net.run_frame(stim, t[k] - t[k - 1])
         heading = net.decode()
         frame_s[k - 1] = time.perf_counter() - start
         decoded[k] = heading
 
+    truth = trajectory.truth
+    baseline = baseline_integrate(trajectory, initial_heading)
     known = ~np.isnan(truth)
     error_deg, baseline_error_deg = np.full(n, math.nan), np.full(n, math.nan)
     error_deg[known] = wrapped_error(decoded[known], truth[known])
@@ -189,17 +178,18 @@ def track(records, kernel: WeightKernel, gain: StimulusGain,
     abs_error = np.abs(error_deg[known])
     summary = [float(f(abs_error)) if abs_error.size else None
                for f in (np.mean, np.max, np.min)]
-    return TrackingReport(t, omega, decoded, baseline, truth, error_deg,
-                          baseline_error_deg, np.abs(omega) > gain.max_velocity,
+    return TrackingReport(trajectory.t, trajectory.omega, decoded, baseline, truth,
+                          error_deg, baseline_error_deg,
+                          np.abs(trajectory.omega) > gain.max_velocity,
                           frame_s, *summary, TimingStats.from_samples(frame_s))
 
 
-def benchmark(records, kernel: WeightKernel, gain: StimulusGain,
+def benchmark(trajectory: Trajectory, kernel: WeightKernel, gain: StimulusGain,
               repetitions: int = 1,
               params: NeuronParams = NeuronParams()) -> TimingStats:
     """Aggregate per-frame compute times over repeated replays."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     return TimingStats.from_samples(np.concatenate(
-        [track(records, kernel, gain, params=params).frame_s
+        [track(trajectory, kernel, gain, params=params).frame_s
          for _ in range(repetitions)]))

@@ -204,6 +204,6 @@ def test_c10_kitti_replay(kernel, gain):
     if not root or not os.path.isdir(root):
         pytest.skip("KITTI oxts data not available (set KITTI_OXTS_DIR)")
     records = read_oxts(root)
-    initial = records[0].truth_heading or 0.0
+    initial = float(np.nan_to_num(records[0].truth))
     report = track(records, kernel, gain, initial_heading=initial)
     assert report.mean_error_deg <= 3.0

@@ -54,6 +54,16 @@ def test_fit_skips_degenerate_samples():
     assert gain.alpha == pytest.approx(1.0 / 12.0, rel=1e-12)
 
 
+def test_sweep_marks_reversed_bump_degenerate(kernel):
+    # At 5.0 the bump runs backwards (about -9.8 rad/s) instead of collapsing.
+    samples = sweep(kernel, [0.0, 0.02, 0.04, 3.0, 5.0], duration=2.0)
+    assert [s.degenerate for s in samples] == [False, False, False, True, True]
+    assert samples[4].velocity < 0.0
+    with pytest.raises(GainFitError, match=r"excluded levels: 0 \(not positive\), "
+                       r"3 \(degenerate, velocity nan rad/s\), 5 \(degenerate"):
+        fit_gain(samples, kernel=kernel)
+
+
 def test_stimulus_for_uses_absolute_velocity():
     gain = StimulusGain(alpha=0.1, fit_r2=1.0, max_velocity=1.0,
                         gamma=1.0, kernel_hash="")

@@ -2,18 +2,56 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hdcnav.io import (OxtsLayout, SyntheticProfile, TrajectoryFormatError,
-                       generate, read_csv, read_oxts, write_csv)
-from hdcnav.tracker import TrajectoryRecord
+from hdcnav.io import (OxtsLayout, SyntheticProfile, Trajectory,
+                       TrajectoryFormatError, TrajectoryRecord, generate,
+                       read_csv, read_oxts, write_csv)
+
+
+# -- Trajectory ---------------------------------------------------------
+
+@pytest.mark.parametrize("columns,fragment,sample", [
+    (([0.0, 1.0], [0.0, math.inf]), "non-finite", 1),
+    (([0.0, math.nan], [0.0, 0.0]), "non-finite", 1),
+    (([0.0, 1.0], [0.0, 0.0], [-math.inf, 0.0]), "non-finite", 0),
+    (([0.0, 1.0, 1.0], [0.0, 0.0, 0.0]), "not after", 2),
+    (([1.0, 0.5], [0.0, 0.0]), "not after", 1),
+    (([], []), "no samples", None),
+    (([0.0, 1.0], [0.0]), "one length", None),
+    (([0.0, 1.0], [0.0, 1.0], [0.0]), "one length", None),
+    (([[0.0, 1.0]], [[0.0, 1.0]]), "1-D", None),
+])
+def test_trajectory_refuses_invalid_columns(columns, fragment, sample):
+    with pytest.raises(TrajectoryFormatError, match=fragment) as info:
+        Trajectory(*columns)
+    assert info.value.sample == sample
+
+
+def test_trajectory_rows_and_slices():
+    t = np.array([0.0, 0.5, 1.0])
+    traj = Trajectory(t, [0.1, -0.2, 0.3], [0.0, math.nan, 2.0])
+    row = traj[1]
+    assert isinstance(row, TrajectoryRecord)
+    assert (row.t, row.omega) == (0.5, -0.2) and math.isnan(row.truth)
+    assert all(type(v) is float for v in row)
+    assert traj[-1] == (1.0, 0.3, 2.0)
+    with pytest.raises(IndexError):
+        traj[3]
+    part = traj[1:]
+    assert isinstance(part, Trajectory) and len(part) == 2
+    assert part.t.tolist() == [0.5, 1.0] and part.truth[1] == 2.0
+    # The columns are read-only copies, and no truth means all NaN.
+    t[0] = -1.0
+    assert traj.t[0] == 0.0 and not traj.t.flags.writeable
+    assert np.isnan(Trajectory([0.0], [0.0]).truth).all()
 
 
 # -- CSV ----------------------------------------------------------------
 
 def test_csv_round_trip(tmp_path):
-    records = [TrajectoryRecord(t=0.01 * i, omega=0.1 * i,
-                                truth_heading=0.05 * i)
-               for i in range(10)]
+    records = Trajectory([0.01 * i for i in range(10)], [0.1 * i for i in range(10)],
+                         [0.05 * i for i in range(10)])
     path = tmp_path / "traj.csv"
     write_csv(records, path)
     loaded = read_csv(path)
@@ -21,16 +59,16 @@ def test_csv_round_trip(tmp_path):
     for a, b in zip(loaded, records):
         assert a.t == pytest.approx(b.t)
         assert a.omega == pytest.approx(b.omega)
-        assert a.truth_heading == pytest.approx(b.truth_heading)
+        assert a.truth == pytest.approx(b.truth)
 
 
 def test_csv_round_trip_without_truth(tmp_path):
-    records = [TrajectoryRecord(t=0.01 * i, omega=0.1) for i in range(5)]
+    records = Trajectory([0.01 * i for i in range(5)], [0.1] * 5)
     path = tmp_path / "traj.csv"
     write_csv(records, path)
     loaded = read_csv(path)
     assert path.read_text().splitlines()[0] == "t,omega"
-    assert all(r.truth_heading is None for r in loaded)
+    assert all(math.isnan(r.truth) for r in loaded)
 
 
 @pytest.mark.parametrize("content,fragment", [
@@ -41,6 +79,13 @@ def test_csv_round_trip_without_truth(tmp_path):
     ("t,omega\n0,0\n0,0\n", "not after"),
     ("t,omega\n0,nan\n", "non-finite"),
     ("t,omega\n", "no data"),
+    ("t,omega\n0,1,2\n", ":2: 3 fields, header has 2"),
+    ("t,omega,truth\n0,1\n", ":2: 2 fields, header has 3"),
+    ("t,omega,truth\n0,1,2\n\n  \n1,2\n", ":5: 2 fields"),
+    ("t,omega,truth\n0,1,\n1,2,3,4\n", ":3: 4 fields"),
+    ("t,omega,truth\n0,1,nan\n", ":2: cannot parse"),
+    ("t,omega,truth\n0,1,\n \n1,2,inf\n", ":4: non-finite"),
+    ("t,omega\n0,0\n\n0,1\n", ":4: timestamp 0.0 not after 0.0"),
 ])
 def test_csv_malformed_inputs(tmp_path, content, fragment):
     path = tmp_path / "bad.csv"
@@ -54,6 +99,52 @@ def test_csv_error_mentions_line_number(tmp_path):
     path.write_text("t,omega\n0,0\n1,oops\n")
     with pytest.raises(TrajectoryFormatError, match=":3:"):
         read_csv(path)
+
+
+def _reference_read(text):
+    """Per-row reference parser: split on commas, float() each cell."""
+    lines = text.split("\n")
+    width = len(lines[0].split(","))
+    columns = ([], [], [])
+    for line in lines[1:]:
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        assert len(cells) == width
+        columns[0].append(float(cells[0]))
+        columns[1].append(float(cells[1]))
+        columns[2].append(float(cells[2]) if width == 3 and cells[2].strip()
+                          else math.nan)
+    return [np.array(c) for c in columns]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+csv_rows = st.lists(st.tuples(
+    st.floats(1e-6, 1e3),                      # interval to the previous t
+    finite,                                    # omega
+    st.one_of(st.none(), finite),              # truth, None for a blank cell
+    st.sampled_from(["", "", "\n", "\n \t"]),  # blank lines after the row
+    st.sampled_from(["", " "])), min_size=1, max_size=30)  # cell padding
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_rows, st.floats(-1e3, 1e3), st.booleans())
+def test_csv_reads_back_like_per_row_reference(tmp_path_factory, rows, t0,
+                                               with_truth):
+    t = t0 + np.cumsum([dt for dt, *_ in rows])
+    lines = ["t,omega,truth" if with_truth else "t,omega"]
+    for ti, (_, omega, truth, after, pad) in zip(t.tolist(), rows):
+        cells = [repr(ti), repr(omega)]
+        if with_truth:
+            cells.append("" if truth is None else repr(truth))
+        lines.append(",".join(f"{pad}{c}{pad}" for c in cells) + after)
+    text = "\n".join(lines) + "\n"
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    path.write_text(text)
+    traj = read_csv(path)
+    for got, expected in zip((traj.t, traj.omega, traj.truth), _reference_read(text)):
+        # Bit for bit, NaN payloads and signed zeros included.
+        assert got.tobytes() == expected.tobytes()
 
 
 # -- oxts ---------------------------------------------------------------
@@ -80,7 +171,7 @@ def test_oxts_reads_yaw_and_rate(tmp_path):
     assert records[1].t == pytest.approx(1.0)
     assert [r.omega for r in records] == pytest.approx([0.01, 0.02, 0.03])
     # yaw wrapped into [0, 2*pi)
-    assert records[2].truth_heading == pytest.approx(-0.3 % (2 * math.pi))
+    assert records[2].truth == pytest.approx(-0.3 % (2 * math.pi))
 
 
 def test_oxts_custom_layout(tmp_path):
@@ -118,6 +209,12 @@ def test_oxts_short_record(tmp_path):
         read_oxts(tmp_path)
 
 
+def test_oxts_refuses_non_finite_yaw(tmp_path):
+    make_oxts_dir(tmp_path, yaws=[0.0, math.inf], rates=[0.0, 0.0])
+    with pytest.raises(TrajectoryFormatError, match="0000000001.txt: non-finite yaw"):
+        read_oxts(tmp_path)
+
+
 def test_oxts_layout_validation():
     with pytest.raises(ValueError):
         OxtsLayout(yaw_column=3, yaw_rate_column=3)
@@ -142,14 +239,14 @@ def test_constant_rotation_one_lap():
     assert records[0].omega == pytest.approx(math.radians(20))
     assert records[-1].t == pytest.approx(18.0)
     # 20 deg/s for 18 s is exactly one lap: truth wraps back to start
-    final = records[-1].truth_heading
+    final = records[-1].truth
     assert min(final, 2 * math.pi - final) < 1e-9
 
 
 def test_balanced_maze_returns_to_start():
     records = generate(SyntheticProfile("balanced_maze",
                                         math.radians(30), 200.0))
-    final = records[-1].truth_heading
+    final = records[-1].truth
     assert min(final, 2 * math.pi - final) < 1e-9
     omegas = np.array([r.omega for r in records])
     assert np.max(np.abs(omegas)) <= math.radians(30) + 1e-12
@@ -162,7 +259,7 @@ def test_maze_truth_matches_trapezoid_integral():
                                         math.radians(30), 60.0))
     ts = np.array([r.t for r in records])
     om = np.array([r.omega for r in records])
-    truth = np.array([r.truth_heading for r in records])
+    truth = np.array([r.truth for r in records])
     integral = np.concatenate(
         [[0.0], np.cumsum(np.diff(ts) * (om[1:] + om[:-1]) / 2.0)])
     err = np.abs(np.remainder(integral - truth + np.pi, 2 * np.pi) - np.pi)
@@ -175,5 +272,5 @@ def test_noisy_profile_is_deterministic_and_clean_truth():
     a, b = generate(prof), generate(prof)
     assert [r.omega for r in a] == [r.omega for r in b]
     clean = generate(SyntheticProfile("balanced_maze", math.radians(30), 30.0))
-    assert [r.truth_heading for r in a] == [r.truth_heading for r in clean]
+    assert [r.truth for r in a] == [r.truth for r in clean]
     assert [r.omega for r in a] != [r.omega for r in clean]

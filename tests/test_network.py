@@ -8,7 +8,8 @@ from hdcnav.network import (DEFAULT_DT, SETTLE_SECONDS, DegenerateActivityError,
                             HDCNetwork, NetworkState, TurningStimulus,
                             ZERO_STIMULUS, decode)
 from hdcnav.neuron import euler_step
-from hdcnav.tracker import TrajectoryRecord, track
+from hdcnav.io import Trajectory
+from hdcnav.tracker import track
 
 
 @pytest.fixture(scope="module")
@@ -255,8 +256,7 @@ def test_off_grid_frames_keep_lap_accuracy(kernel, gain, frame_dt, jitter):
     rng = np.random.default_rng(7)
     t = np.concatenate(([0.0], np.cumsum(
         frame_dt * (1.0 + rng.uniform(-jitter, jitter, n_frames)))))
-    report = track([TrajectoryRecord(t=float(ti), omega=omega) for ti in t],
-                   kernel, gain)
+    report = track(Trajectory(t, np.full(len(t), omega)), kernel, gain)
     decoded = np.unwrap([s.decoded_heading for s in report.per_sample])
     accumulated = math.degrees(decoded[-1] - decoded[0] - t[-1] * omega)
     assert abs(accumulated) < 1.0

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdcnav.io import SyntheticProfile, generate
+from hdcnav.io import SyntheticProfile, Trajectory, generate
 from hdcnav.network import HDCNetwork, TurningStimulus
-from hdcnav.tracker import (TimingStats, TrajectoryRecord, baseline_integrate,
-                            benchmark, track, wrapped_error)
+from hdcnav.tracker import (TimingStats, baseline_integrate, benchmark, track,
+                            wrapped_error)
 
 
 @pytest.mark.parametrize("a,b,expected", [
@@ -33,16 +33,15 @@ def test_wrapped_error_rejects_non_finite():
 
 def test_record_validation():
     with pytest.raises(ValueError):
-        TrajectoryRecord(t=0.0, omega=float("inf"))
+        Trajectory([0.0], [float("inf")])
     with pytest.raises(ValueError):
-        TrajectoryRecord(t=0.0, omega=0.0, truth_heading=float("nan"))
+        Trajectory([0.0], [0.0], [float("inf")])
 
 
 def test_baseline_matches_manual_trapezoid():
     ts = np.array([0.0, 0.1, 0.25, 0.5])
     omegas = np.array([0.0, 0.2, -0.1, 0.4])
-    records = [TrajectoryRecord(t=float(t), omega=float(w))
-               for t, w in zip(ts, omegas)]
+    records = Trajectory(ts, omegas)
     headings = baseline_integrate(records, initial_heading=1.0)
     expected = 1.0 + np.concatenate(
         [[0.0], np.cumsum(np.diff(ts) * (omegas[1:] + omegas[:-1]) / 2.0)])
@@ -51,8 +50,7 @@ def test_baseline_matches_manual_trapezoid():
 
 def test_baseline_maps_tiny_negative_total_to_zero():
     # -1e-20 rad % 2*pi rounds to exactly 2*pi, outside [0, 2*pi).
-    records = [TrajectoryRecord(t=0.0, omega=-1e-20),
-               TrajectoryRecord(t=1.0, omega=-1e-20)]
+    records = Trajectory([0.0, 1.0], [-1e-20, -1e-20])
     assert baseline_integrate(records).tolist() == [0.0, 0.0]
     assert baseline_integrate(records[:1], initial_heading=-1e-300).tolist() == [0.0]
 
@@ -61,38 +59,33 @@ def test_baseline_exact_on_clean_constant_profile():
     records = generate(SyntheticProfile("constant_rotation",
                                         math.radians(20), 18.0))
     headings = baseline_integrate(records)
-    truth = np.array([r.truth_heading for r in records])
+    truth = np.array([r.truth for r in records])
     err = np.abs(np.remainder(headings - truth + np.pi, 2 * np.pi) - np.pi)
     assert err.max() < 1e-9
 
 
 def test_baseline_rejects_non_monotonic():
-    records = [TrajectoryRecord(t=0.0, omega=0.0),
-               TrajectoryRecord(t=0.0, omega=0.0)]
     with pytest.raises(ValueError):
-        baseline_integrate(records)
+        baseline_integrate(Trajectory([0.0, 0.0], [0.0, 0.0]))
 
 
 def test_track_zero_omega_holds_heading(kernel, gain):
-    records = [TrajectoryRecord(t=0.01 * i, omega=0.0,
-                                truth_heading=math.pi / 2)
-               for i in range(601)]  # 6 s at 100 Hz
+    records = Trajectory([0.01 * i for i in range(601)], [0.0] * 601,
+                         [math.pi / 2] * 601)  # 6 s at 100 Hz
     report = track(records, kernel, gain, initial_heading=math.pi / 2)
     assert report.max_error_deg < 1.0
 
 
 def test_track_flags_out_of_range_velocity(kernel, gain):
     fast = gain.max_velocity * 1.5
-    records = [TrajectoryRecord(t=0.0, omega=0.0),
-               TrajectoryRecord(t=0.01, omega=fast),
-               TrajectoryRecord(t=0.02, omega=0.1)]
+    records = Trajectory([0.0, 0.01, 0.02], [0.0, fast, 0.1])
     report = track(records, kernel, gain)
     flags = [s.omega_out_of_range for s in report.per_sample]
     assert flags == [False, True, False]
 
 
 def test_track_without_truth_leaves_errors_unset(kernel, gain):
-    records = [TrajectoryRecord(t=0.01 * i, omega=0.1) for i in range(20)]
+    records = Trajectory([0.01 * i for i in range(20)], [0.1] * 20)
     report = track(records, kernel, gain)
     assert report.mean_error_deg is None
     assert all(s.error_deg is None for s in report.per_sample)
@@ -150,7 +143,8 @@ def _reference_baseline(records, initial_heading):
     """Trapezoid baseline, one wrapped step per sample."""
     h = initial_heading % TWO_PI
     headings = [h]
-    for prev, rec in zip(records, records[1:]):
+    rows = list(records)
+    for prev, rec in zip(rows, rows[1:]):
         h = (h + (rec.t - prev.t) * (rec.omega + prev.omega) / 2.0) % TWO_PI
         headings.append(h)
     return np.array(headings)
@@ -183,16 +177,14 @@ def test_wrapped_error_matches_remainder_reference(pairs):
        st.floats(-10.0, 10.0))
 def test_baseline_matches_stepwise_reference(steps, initial):
     t = np.cumsum([dt for dt, _ in steps])
-    records = [TrajectoryRecord(t=float(ti), omega=w)
-               for ti, (_, w) in zip(t, steps)]
+    records = Trajectory(t, [w for _, w in steps])
     got = baseline_integrate(records, initial)
     assert _wrapped_rad(got, _reference_baseline(records, initial)).max() <= 1e-9
 
 
 def test_track_refuses_single_sample(kernel, gain):
     with pytest.raises(ValueError, match="at least two samples"):
-        track([TrajectoryRecord(t=0.0, omega=0.1, truth_heading=0.0)],
-              kernel, gain)
+        track(Trajectory([0.0], [0.1], [0.0]), kernel, gain)
 
 
 def test_track_columns_match_per_frame_reference(kernel, gain):
@@ -206,7 +198,7 @@ def test_track_columns_match_per_frame_reference(kernel, gain):
         net.run_frame(TurningStimulus(left=level, right=0.0) if rec.omega >= 0.0
                       else TurningStimulus(left=0.0, right=level), rec.t - prev.t)
         decoded.append(net.decode())
-    truth = [r.truth_heading for r in records]
+    truth = [r.truth for r in records]
     baseline = _reference_baseline(records, 0.2)
 
     assert report.decoded.tolist() == decoded
@@ -226,10 +218,9 @@ def test_track_columns_match_per_frame_reference(kernel, gain):
 
 
 def test_track_with_truth_on_some_rows(tmp_path, kernel, gain):
-    records = [TrajectoryRecord(t=0.01 * i, omega=0.2,
-                                truth_heading=None if i % 3 == 1 else 0.003 * i)
-               for i in range(30)]
-    known = [r.truth_heading is not None for r in records]
+    records = Trajectory([0.01 * i for i in range(30)], [0.2] * 30,
+                         [math.nan if i % 3 == 1 else 0.003 * i for i in range(30)])
+    known = [not math.isnan(r.truth) for r in records]
     report = track(records, kernel, gain)
 
     for column in (report.truth, report.error_deg, report.baseline_error_deg):
