@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import WeightKernel, kernel_hash
+from .kernel import WeightKernel, check_fields, kernel_hash
 from .network import HDCNetwork, TurningStimulus
 from .neuron import NeuronParams
 
@@ -180,9 +180,11 @@ def save_calibration(gain: StimulusGain, path):
 
 
 def load_calibration(path, kernel: WeightKernel = None) -> StimulusGain:
-    """Load a calibration file, refusing one built for a different kernel."""
+    """Load a calibration file, refusing one built for a different kernel;
+    a malformed one raises ValueError naming the file and the missing keys."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    check_fields(doc, ("alpha", "fit_r2", "max_velocity", "gamma", "kernel_hash"), path)
     gain = StimulusGain(alpha=doc["alpha"], fit_r2=doc["fit_r2"],
                         max_velocity=doc["max_velocity"], gamma=doc["gamma"],
                         kernel_hash=doc["kernel_hash"])

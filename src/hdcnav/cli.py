@@ -2,8 +2,12 @@
 
 Subcommands: synthesize, calibrate, track, bench, generate. Options can
 come from a JSON config document (--config or the HDCNAV_CONFIG
-environment variable); explicit flags override config values. Exit codes:
-0 success, 1 validation/invariant failure, 2 I/O error.
+environment variable). A flag beats the config and the config beats the
+defaults: ``main`` parses each config value like its flag's text and
+installs it as a default of the subcommand; a JSON null means unset. Only
+the options that are set reach the library, so its defaults are the only
+defaults. Exit codes: 0 success, 1 validation/invariant failure, 2 I/O
+error.
 """
 
 import argparse
@@ -16,10 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .calibration import (DEFAULT_STIMULI, SWEEP_DURATION, fit_gain,
-                          load_calibration, save_calibration, sweep)
-from .kernel import (DEFAULT_GAMMA, DEFAULT_LAMBDA, TuningCurve, build_kernel,
-                     kernel_hash, load_kernel, save_kernel)
+from .calibration import fit_gain, load_calibration, save_calibration, sweep
+from .kernel import TuningCurve, build_kernel, kernel_hash, load_kernel, save_kernel
 from .io import (SyntheticProfile, generate, read_csv, read_oxts, write_csv,
                  OxtsLayout)
 from .tracker import benchmark, track
@@ -41,8 +43,6 @@ class CliError(Exception):
 
 def _load_config(path):
     if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR)
-    if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -51,123 +51,104 @@ def _load_config(path):
     return doc
 
 
-def _merge(args, config, key, default=None):
-    """Flag value if given, else config value, else default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return config.get(key, default)
+def _apply_config(parser, command, config):
+    """Install the config's values as ``command``'s defaults, each parsed
+    like its flag's text; null values and keys of no option are skipped."""
+    # argparse keeps a parser's options, and the subcommands, only in _actions.
+    subparser = next(a for a in parser._actions if a.dest == "command").choices[command]
+    defaults = {}
+    for action in subparser._actions:
+        value = config.get(action.dest)
+        if value is None or action.default is argparse.SUPPRESS:
+            continue
+        try:
+            defaults[action.dest] = (action.type or str)(str(value))
+        except ValueError:
+            raise CliError(f"config {action.dest!r}: cannot parse {value!r}") from None
+    subparser.set_defaults(**defaults)
 
 
-def _parse_stimuli(text):
-    try:
-        levels = [float(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError:
-        raise CliError(f"cannot parse stimulus list {text!r}") from None
-    if not levels:
-        raise CliError("empty stimulus list")
-    return levels
+def _given(args, *names):
+    """The named options that are set, as keyword arguments."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
 
 
-def _load_trajectory(args, config):
-    path = _merge(args, config, "trajectory")
-    oxts = _merge(args, config, "oxts")
-    if (path is None) == (oxts is None):
-        raise CliError("exactly one of --trajectory or --oxts is required")
-    if path is not None:
-        return read_csv(path)
-    layout = OxtsLayout(
-        yaw_column=int(_merge(args, config, "yaw_column", 5)),
-        yaw_rate_column=int(_merge(args, config, "yaw_rate_column", 19)),
-    )
-    return read_oxts(oxts, layout)
-
-
-def _load_kernel_and_gain(args, config):
-    kernel_path = _merge(args, config, "kernel")
-    calib_path = _merge(args, config, "calibration")
-    if kernel_path is None or calib_path is None:
+def _load_replay(args):
+    """The kernel, calibration and trajectory that track and bench replay."""
+    if args.kernel is None or args.calibration is None:
         raise CliError("--kernel and --calibration are required")
-    kernel = load_kernel(kernel_path)
-    gain = load_calibration(calib_path, kernel=kernel)
-    return kernel, gain
+    kernel = load_kernel(args.kernel)
+    gain = load_calibration(args.calibration, kernel=kernel)
+    if (args.trajectory is None) == (args.oxts is None):
+        raise CliError("exactly one of --trajectory or --oxts is required")
+    if args.trajectory is not None:
+        return kernel, gain, read_csv(args.trajectory)
+    layout = OxtsLayout(**_given(args, "yaw_column", "yaw_rate_column"))
+    return kernel, gain, read_oxts(args.oxts, layout)
 
 
 # -- subcommands --------------------------------------------------------
 
-def cmd_synthesize(args, config):
-    curve = TuningCurve(
-        a=float(_merge(args, config, "a", 8.95)),
-        m=float(_merge(args, config, "m", 5.29)),
-        n=int(_merge(args, config, "n", 100)),
-        b=_merge(args, config, "b"),
-    )
-    lam = float(_merge(args, config, "lam", DEFAULT_LAMBDA))
-    gamma = float(_merge(args, config, "gamma", DEFAULT_GAMMA))
-    kernel = build_kernel(curve, lam, gamma)
+def cmd_synthesize(args):
+    curve = TuningCurve(**_given(args, "a", "m", "n", "b"))
+    kernel = build_kernel(curve, **_given(args, "lam", "gamma"))
     kernel.validate()
-    out = _merge(args, config, "out", "kernel.json")
-    save_kernel(kernel, out)
+    save_kernel(kernel, args.out)
     w, wp = kernel.h_to_h, kernel.s_to_h
-    print(f"kernel n={kernel.n} lambda={lam:g} gamma={gamma:g} -> {out}")
+    print(f"kernel n={kernel.n} lambda={kernel.lam:g} gamma={kernel.gamma:g} "
+          f"-> {args.out}")
     print(f"symmetry: even residual {np.max(np.abs(w[1:] - w[1:][::-1])):.3e}, "
           f"odd residual {np.max(np.abs(wp[1:] + wp[1:][::-1])):.3e}")
     print(f"hash: {kernel_hash(kernel)}")
     return EXIT_OK
 
 
-def cmd_calibrate(args, config):
-    kernel_path = _merge(args, config, "kernel")
-    if kernel_path is None:
+def cmd_calibrate(args):
+    if args.kernel is None:
         raise CliError("--kernel is required")
-    kernel = load_kernel(kernel_path)
-    stimuli_opt = _merge(args, config, "stimuli")
-    stimuli = (sorted(_parse_stimuli(stimuli_opt))
-               if stimuli_opt is not None else DEFAULT_STIMULI)
-    duration = float(_merge(args, config, "duration", SWEEP_DURATION))
-    samples = sweep(kernel, stimuli, duration)
+    kernel = load_kernel(args.kernel)
+    options = _given(args, "duration")
+    if args.stimuli is not None:
+        try:
+            options["stimuli"] = sorted(float(tok) for tok in args.stimuli.split(",")
+                                        if tok.strip())
+        except ValueError:
+            raise CliError(f"cannot parse stimulus list {args.stimuli!r}") from None
+    samples = sweep(kernel, **options)
     gain = fit_gain(samples, kernel=kernel)
-    out = _merge(args, config, "out", "calibration.json")
-    save_calibration(gain, out)
-    table = _merge(args, config, "sweep_csv")
-    if table:
-        with open(table, "w", encoding="utf-8", newline="\n") as fh:
+    save_calibration(gain, args.out)
+    if args.sweep_csv:
+        with open(args.sweep_csv, "w", encoding="utf-8", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["stimulus", "velocity", "degenerate"])
             for s in samples:
                 writer.writerow([f"{s.stimulus:.9g}", f"{s.velocity:.9g}",
                                  int(s.degenerate)])
     print(f"alpha={gain.alpha:.6f} fit_r2={gain.fit_r2:.6f} "
-          f"max_velocity={math.degrees(gain.max_velocity):.1f} deg/s -> {out}")
+          f"max_velocity={math.degrees(gain.max_velocity):.1f} deg/s -> {args.out}")
     return EXIT_OK
 
 
-def cmd_track(args, config):
-    kernel, gain = _load_kernel_and_gain(args, config)
-    trajectory = _load_trajectory(args, config)
-    initial = float(_merge(args, config, "initial_heading", 0.0))
-    report = track(trajectory, kernel, gain, initial_heading=initial)
-    report_path = _merge(args, config, "report", "report.json")
-    report.to_json(report_path)
-    samples_path = _merge(args, config, "samples")
-    if samples_path:
-        report.to_csv(samples_path)
+def cmd_track(args):
+    kernel, gain, trajectory = _load_replay(args)
+    report = track(trajectory, kernel, gain, **_given(args, "initial_heading"))
+    report.to_json(args.report)
+    if args.samples:
+        report.to_csv(args.samples)
     if report.mean_error_deg is None:
         print(f"tracked {len(report.t)} samples (no ground truth)")
     else:
         print(f"tracked {len(report.t)} samples: mean |error| "
               f"{report.mean_error_deg:.3f} deg, max {report.max_error_deg:.3f} deg")
-    print(f"report -> {report_path}")
+    print(f"report -> {args.report}")
     return EXIT_OK
 
 
-def cmd_bench(args, config):
-    kernel, gain = _load_kernel_and_gain(args, config)
-    trajectory = _load_trajectory(args, config)
-    reps = int(_merge(args, config, "repetitions", 1))
-    stats = benchmark(trajectory, kernel, gain, repetitions=reps)
-    out = _merge(args, config, "out", "bench.json")
-    with open(out, "w", encoding="utf-8") as fh:
+def cmd_bench(args):
+    kernel, gain, trajectory = _load_replay(args)
+    stats = benchmark(trajectory, kernel, gain, **_given(args, "repetitions"))
+    with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(vars(stats), fh, indent=1)
         fh.write("\n")
     print(f"frames={stats.frame_count} mean={stats.mean_ms:.3f} ms "
@@ -178,20 +159,13 @@ def cmd_bench(args, config):
     return EXIT_OK
 
 
-def cmd_generate(args, config):
-    profile = SyntheticProfile(
-        kind=_merge(args, config, "kind", "constant_rotation"),
-        omega_max=float(_merge(args, config, "omega_max", math.radians(20.0))),
-        duration=float(_merge(args, config, "duration", 18.0)),
-        frame_dt=float(_merge(args, config, "frame_dt", 0.01)),
-        noise_sigma=float(_merge(args, config, "noise_sigma", 0.0)),
-        seed=int(_merge(args, config, "seed", 0)),
-    )
+def cmd_generate(args):
+    profile = SyntheticProfile(args.kind, args.omega_max, args.duration,
+                               **_given(args, "frame_dt", "noise_sigma", "seed"))
     trajectory = generate(profile)
-    out = _merge(args, config, "out", "trajectory.csv")
-    write_csv(trajectory, out)
+    write_csv(trajectory, args.out)
     print(f"{profile.kind}: {len(trajectory)} samples over "
-          f"{trajectory.t[-1]:.2f} s -> {out}")
+          f"{trajectory.t[-1]:.2f} s -> {args.out}")
     return EXIT_OK
 
 
@@ -203,7 +177,8 @@ def build_parser():
         description="Head-direction ring attractor: kernel synthesis, "
                     "calibration, trajectory replay, and benchmarking.")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--config", help="JSON config file (flags override); "
+    parser.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR),
+                        help="JSON config file (flags override); "
                         f"defaults to ${CONFIG_ENV_VAR} if set")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -214,14 +189,14 @@ def build_parser():
     p.add_argument("--a", type=float)
     p.add_argument("--b", type=float)
     p.add_argument("--m", type=float)
-    p.add_argument("--out")
+    p.add_argument("--out", default="kernel.json")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("calibrate", help="sweep stimuli and fit the gain")
     p.add_argument("--kernel")
     p.add_argument("--stimuli", help="comma-separated stimulus levels")
     p.add_argument("--duration", type=float)
-    p.add_argument("--out")
+    p.add_argument("--out", default="calibration.json")
     p.add_argument("--sweep-csv", dest="sweep_csv")
     p.set_defaults(func=cmd_calibrate)
 
@@ -236,25 +211,26 @@ def build_parser():
     p = sub.add_parser("track", parents=[replay],
                        help="replay a trajectory and report errors")
     p.add_argument("--initial-heading", dest="initial_heading", type=float)
-    p.add_argument("--report")
+    p.add_argument("--report", default="report.json")
     p.add_argument("--samples", help="per-sample CSV output path")
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("bench", parents=[replay],
                        help="latency benchmark over a trajectory")
     p.add_argument("--repetitions", type=int)
-    p.add_argument("--out")
+    p.add_argument("--out", default="bench.json")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("generate", help="write a synthetic trajectory CSV")
-    p.add_argument("--kind", choices=["constant_rotation", "balanced_maze", "noisy"])
+    p.add_argument("--kind", choices=["constant_rotation", "balanced_maze", "noisy"],
+                   default="constant_rotation")
     p.add_argument("--omega-max", dest="omega_max", type=float,
-                   help="peak angular velocity [rad/s]")
-    p.add_argument("--duration", type=float)
+                   default=math.radians(20.0), help="peak angular velocity [rad/s]")
+    p.add_argument("--duration", type=float, default=18.0)
     p.add_argument("--frame-dt", dest="frame_dt", type=float)
     p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p.add_argument("--out", default="trajectory.csv")
     p.set_defaults(func=cmd_generate)
     return parser
 
@@ -263,8 +239,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
-        return args.func(args, config)
+        _apply_config(parser, args.command, _load_config(args.config))
+        args = parser.parse_args(argv)
+        return args.func(args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -101,7 +101,6 @@ class OxtsLayout:
 
     yaw_column: int = 5
     yaw_rate_column: int = 19
-    sample_rate_hz: float = 100.0
 
     def __post_init__(self):
         if self.yaw_column < 0 or self.yaw_rate_column < 0:
@@ -328,12 +327,8 @@ def _sample_segments(segments, frame_dt: float):
     n = int(round(total / frame_dt))
     ts = np.arange(n + 1) * frame_dt
     ts = ts[ts <= total + 1e-12]
-    omega_out = np.empty(len(ts))
-    seg = 0
-    for j, t in enumerate(ts):
-        while seg + 1 < len(boundaries) - 1 and t >= boundaries[seg + 1] - 1e-12:
-            seg += 1
-        omega_out[j] = omegas[seg]
+    # A sample at a boundary (within 1e-12 s) takes the later segment's omega.
+    omega_out = omegas[np.searchsorted(boundaries[1:-1] - 1e-12, ts, side="right")]
     truth_out = np.concatenate(
         [[0.0], np.cumsum(np.diff(ts) * (omega_out[1:] + omega_out[:-1]) / 2.0)])
     return ts, omega_out, truth_out

@@ -196,10 +196,21 @@ def save_kernel(kernel: WeightKernel, path):
         fh.write("\n")
 
 
+def check_fields(doc, keys, where):
+    """Refuse a JSON value that is not an object holding each of ``keys``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"{where}: missing {', '.join(map(repr, missing))}")
+
+
 def load_kernel(path) -> WeightKernel:
-    """Read a kernel file written by :func:`save_kernel`."""
+    """Read a kernel file written by :func:`save_kernel`; a malformed one
+    raises ValueError naming the file and the missing key or bad vector."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    check_fields(doc, (), path)
     version = doc.get("version")
     if version == 1:
         raise ValueError(
@@ -208,11 +219,24 @@ def load_kernel(path) -> WeightKernel:
             "`hdcnav calibrate`")
     if version != _KERNEL_FORMAT_VERSION:
         raise ValueError(f"unsupported kernel file version: {version!r}")
+    check_fields(doc, ("n", "lambda", "gamma", "curve", "w_hh", "w_sh"), path)
+    check_fields(doc["curve"], ("a", "b", "m"), f"{path}: 'curve'")
+    n, vectors = doc["n"], []
+    for key in ("w_hh", "w_sh"):
+        try:
+            vector = np.asarray(doc[key], dtype=float)
+        except (TypeError, ValueError):
+            vector = None
+        if vector is None or not np.isfinite(vector).all():
+            raise ValueError(f"{path}: {key!r} is not a list of finite numbers")
+        if vector.shape != (n,):
+            raise ValueError(f"{path}: {key!r} has shape {vector.shape}, but n is {n!r}")
+        vectors.append(vector)
     curve = TuningCurve(a=doc["curve"]["a"], m=doc["curve"]["m"],
-                        n=doc["n"], b=doc["curve"]["b"])
+                        n=n, b=doc["curve"]["b"])
     return WeightKernel(
-        h_to_h=np.asarray(doc["w_hh"], dtype=float),
-        s_to_h=np.asarray(doc["w_sh"], dtype=float),
+        h_to_h=vectors[0],
+        s_to_h=vectors[1],
         gamma=doc["gamma"],
         lam=doc["lambda"],
         curve=curve,

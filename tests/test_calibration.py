@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,20 @@ def test_load_refuses_mismatched_kernel(tmp_path, gain):
     other = build_kernel(gamma=0.7)
     with pytest.raises(CalibrationMismatchError):
         load_calibration(path, kernel=other)
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda d: [d], "expected a JSON object, got list", id="array"),
+    pytest.param(lambda d: {k: v for k, v in d.items() if k != "alpha"},
+                 "missing 'alpha'$", id="no-alpha"),
+    pytest.param(lambda d: {},
+                 "missing 'alpha', 'fit_r2', 'max_velocity', 'gamma', 'kernel_hash'",
+                 id="empty"),
+])
+def test_load_rejects_malformed_file(tmp_path, gain, edit, message):
+    path = tmp_path / "calibration.json"
+    save_calibration(gain, path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=message) as info:
+        load_calibration(path)
+    assert str(info.value).startswith(str(path))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hdcnav.cli import main
-from hdcnav.io import read_csv
-from hdcnav.kernel import load_kernel
+from hdcnav.io import SyntheticProfile, generate, read_csv, write_csv
+from hdcnav.kernel import build_kernel, kernel_hash, load_kernel
 from hdcnav.calibration import save_calibration
 
 
@@ -22,6 +22,13 @@ def kernel_file(tmp_path_factory, kernel):
 def calibration_file(tmp_path_factory, gain):
     path = tmp_path_factory.mktemp("cli") / "calibration.json"
     save_calibration(gain, path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def trajectory_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "trajectory.csv"
+    write_csv(generate(SyntheticProfile("balanced_maze", 0.5, 1.0)), path)
     return str(path)
 
 
@@ -209,3 +216,89 @@ def test_bench_reads_oxts_with_yaw_column(tmp_path, kernel_file,
                  "--oxts", str(oxts), "--yaw-column", "1",
                  "--yaw-rate-column", "0", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["frame_count"] == 19
+
+
+def test_synthesize_without_options_builds_default_kernel(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synthesize"]) == 0
+    written = (tmp_path / "kernel.json").read_bytes()
+    assert kernel_hash(load_kernel("kernel.json")) == kernel_hash(build_kernel())
+    # null config values are unset, so they change nothing
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"b": None, "gamma": None, "out": None}))
+    (tmp_path / "kernel.json").unlink()
+    assert main(["--config", "config.json", "synthesize"]) == 0
+    assert (tmp_path / "kernel.json").read_bytes() == written
+
+
+def test_generate_without_options_writes_default_profile(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate"]) == 0
+    write_csv(generate(SyntheticProfile("constant_rotation", math.radians(20), 18.0)),
+              tmp_path / "expected.csv")
+    assert ((tmp_path / "trajectory.csv").read_bytes()
+            == (tmp_path / "expected.csv").read_bytes())
+
+
+def test_track_refuses_calibration_without_alpha(tmp_path, kernel_file,
+                                                 calibration_file, trajectory_file,
+                                                 capsys):
+    with open(calibration_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    del doc["alpha"]
+    broken = tmp_path / "calibration.json"
+    broken.write_text(json.dumps(doc))
+    code = main(["track", "--kernel", kernel_file, "--calibration", str(broken),
+                 "--trajectory", trajectory_file,
+                 "--report", str(tmp_path / "report.json")])
+    assert code == 1
+    assert f"{broken}: missing 'alpha'" in capsys.readouterr().err
+
+
+# (subcommand, its other arguments, output flag, option, value, other value):
+# the option set by a flag and by a config value must write the same output.
+_PARITY_CASES = [
+    ("synthesize", [], "--out", "b", 0.3, 0.32),
+    ("synthesize", [], "--out", "n", 64, 48),
+    ("calibrate", ["--kernel", "{kernel}"], "--out", "duration", 2.5, 3.0),
+    ("track", ["--kernel", "{kernel}", "--calibration", "{calibration}",
+               "--trajectory", "{trajectory}"], "--samples", "initial_heading", 0.5, 1.0),
+    ("bench", ["--kernel", "{kernel}", "--calibration", "{calibration}",
+               "--trajectory", "{trajectory}"], "--out", "repetitions", 2, 3),
+    ("generate", [], "--out", "omega_max", 0.25, 0.3),
+]
+
+
+@pytest.mark.parametrize("command, extra, out_flag, key, value, other", _PARITY_CASES,
+                         ids=[f"{c[0]}-{c[3]}" for c in _PARITY_CASES])
+def test_config_value_matches_flag(tmp_path, monkeypatch, kernel_file,
+                                   calibration_file, trajectory_file, command,
+                                   extra, out_flag, key, value, other):
+    monkeypatch.chdir(tmp_path)  # `track` also writes its report to report.json
+    files = {"kernel": kernel_file, "calibration": calibration_file,
+             "trajectory": trajectory_file}
+    base = [command] + [arg.format(**files) for arg in extra]
+    flag = ["--" + key.replace("_", "-"), str(value)]
+
+    def run(name, config=None, flags=()):
+        out = tmp_path / name
+        argv = base + list(flags) + [out_flag, str(out)]
+        if config is not None:
+            path = tmp_path / f"{name}.config.json"
+            path.write_text(json.dumps(config))
+            argv = ["--config", str(path)] + argv
+        code = main(argv)
+        if code != 0:
+            return code
+        if command == "bench":  # everything but the frame count is a timing
+            return json.loads(out.read_text())["frame_count"]
+        return out.read_bytes()
+
+    by_flag = run("flag", flags=flag)
+    unset = run("unset")
+    assert by_flag != unset
+    assert run("number", {key: value}) == by_flag
+    assert run("string", {key: str(value)}) == by_flag
+    assert run("null", {key: None}) == unset
+    assert run("override", {key: other}, flags=flag) == by_flag
+    assert run("refused", {key: "abc"}) == 1

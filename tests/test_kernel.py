@@ -149,6 +149,30 @@ def test_load_rejects_unknown_version(tmp_path, kernel, version):
         load_kernel(path)
 
 
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda d: [d], r"expected a JSON object, got list", id="array"),
+    pytest.param(lambda d: {k: v for k, v in d.items() if k != "w_sh"},
+                 r"missing 'w_sh'", id="no-w_sh"),
+    pytest.param(lambda d: {**d, "curve": {"a": 8.95, "m": 5.29}},
+                 r"'curve': missing 'b'", id="no-curve-b"),
+    pytest.param(lambda d: {**d, "n": 99},
+                 r"'w_hh' has shape \(100,\), but n is 99", id="n-mismatch"),
+    pytest.param(lambda d: {**d, "w_sh": d["w_sh"][:-1]},
+                 r"'w_sh' has shape \(99,\), but n is 100", id="short-w_sh"),
+    pytest.param(lambda d: {**d, "w_hh": ["x"] * 100},
+                 r"'w_hh' is not a list of finite numbers", id="non-numeric"),
+    pytest.param(lambda d: {**d, "w_sh": [None] * 100},
+                 r"'w_sh' is not a list of finite numbers", id="null-values"),
+])
+def test_load_rejects_malformed_file(tmp_path, kernel, edit, message):
+    path = tmp_path / "kernel.json"
+    save_kernel(kernel, path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=message) as info:
+        load_kernel(path)
+    assert str(info.value).startswith(str(path))
+
+
 def test_hash_changes_with_parameters(kernel):
     other = build_kernel(gamma=kernel.gamma * 2.0)
     assert kernel_hash(other) != kernel_hash(kernel)
