@@ -4,8 +4,7 @@ from .neuron import NeuronParams, transfer, inverse_transfer, euler_step
 from .kernel import (TuningCurve, WeightKernel, target_profile,
                      synthesize_recurrent, derivative_kernel, build_kernel,
                      save_kernel, load_kernel, kernel_hash)
-from .network import (NetworkState, TurningStimulus, HDCNetwork, decode,
-                      DegenerateActivityError)
+from .network import TurningStimulus, HDCNetwork, DegenerateActivityError
 from .calibration import (StimulusGain, SweepSample, sweep, fit_gain,
                           save_calibration, load_calibration,
                           CalibrationMismatchError, GainFitError)

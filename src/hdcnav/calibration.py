@@ -15,7 +15,6 @@ import numpy as np
 
 from .kernel import WeightKernel, check_fields, kernel_hash
 from .network import HDCNetwork, TurningStimulus
-from .neuron import NeuronParams
 
 __all__ = ["StimulusGain", "SweepSample", "sweep", "fit_gain",
            "save_calibration", "load_calibration", "CalibrationMismatchError",
@@ -90,8 +89,7 @@ def measure_drift_velocity(net: HDCNetwork, stimulus: TurningStimulus,
 
 
 def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
-          duration: float = SWEEP_DURATION,
-          params: NeuronParams = NeuronParams()) -> list:
+          duration: float = SWEEP_DURATION) -> list:
     """Measure bump velocity for each stimulus level on the shift-left layer.
 
     One batched network runs every level at once, one column per level.
@@ -108,7 +106,7 @@ def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
         raise ValueError("stimulus levels must be ascending")
     if duration < 2.0:
         raise ValueError("sweep duration must be at least 2 s")
-    net = HDCNetwork(kernel, params)
+    net = HDCNetwork(kernel)
     net.init_at(np.full(levels.size, np.pi))
     velocities = measure_drift_velocity(net, TurningStimulus(left=levels), duration)
     # NaN fails v > 0, so a collapsed positive level is caught here too.
@@ -181,10 +179,12 @@ def save_calibration(gain: StimulusGain, path):
 
 def load_calibration(path, kernel: WeightKernel = None) -> StimulusGain:
     """Load a calibration file, refusing one built for a different kernel;
-    a malformed one raises ValueError naming the file and the missing keys."""
+    a malformed one raises ValueError naming the file and the missing or
+    mistyped keys."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    check_fields(doc, ("alpha", "fit_r2", "max_velocity", "gamma", "kernel_hash"), path)
+    check_fields(doc, {"alpha": float, "fit_r2": float, "max_velocity": float,
+                       "gamma": float, "kernel_hash": str}, path)
     gain = StimulusGain(alpha=doc["alpha"], fit_r2=doc["fit_r2"],
                         max_velocity=doc["max_velocity"], gamma=doc["gamma"],
                         kernel_hash=doc["kernel_hash"])

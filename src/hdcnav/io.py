@@ -127,6 +127,10 @@ class SyntheticProfile:
             raise ValueError("duration and frame_dt must be positive")
         if self.omega_max <= 0:
             raise ValueError("omega_max must be positive")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if self.noise_sigma and self.kind != "noisy":
+            raise ValueError(f"noise_sigma applies to the noisy kind only, not {self.kind!r}")
 
 
 # -- CSV ----------------------------------------------------------------
@@ -285,6 +289,11 @@ def read_oxts(directory, layout: OxtsLayout = OxtsLayout()) -> Trajectory:
 
 # -- synthetic profiles -------------------------------------------------
 
+def cumulative_trapezoid(t, y) -> np.ndarray:
+    """Trapezoid-rule integral of ``y`` over ``t`` up to each sample, from 0."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def _maze_segments(omega_max: float, duration: float):
     """Deterministic (duration, omega) segments with zero signed turn total.
 
@@ -329,9 +338,7 @@ def _sample_segments(segments, frame_dt: float):
     ts = ts[ts <= total + 1e-12]
     # A sample at a boundary (within 1e-12 s) takes the later segment's omega.
     omega_out = omegas[np.searchsorted(boundaries[1:-1] - 1e-12, ts, side="right")]
-    truth_out = np.concatenate(
-        [[0.0], np.cumsum(np.diff(ts) * (omega_out[1:] + omega_out[:-1]) / 2.0)])
-    return ts, omega_out, truth_out
+    return ts, omega_out, cumulative_trapezoid(ts, omega_out)
 
 
 def generate(profile: SyntheticProfile) -> Trajectory:

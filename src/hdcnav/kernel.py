@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .neuron import NeuronParams, inverse_transfer
+from .neuron import NEURON, inverse_transfer
 
 __all__ = [
     "TuningCurve",
@@ -40,11 +40,6 @@ DEFAULT_GAMMA = 1.4
 _PEAK_MARGIN = 1.85e-6
 
 
-def pinned_amplitude(a: float, m: float, r_max: float) -> float:
-    """Amplitude that places the profile peak just below r_max."""
-    return ((1.0 - _PEAK_MARGIN) * r_max - a) / math.exp(m)
-
-
 @dataclass(frozen=True)
 class TuningCurve:
     """Target firing-rate profile ``a + b * exp(m * cos(dtheta))``.
@@ -57,15 +52,15 @@ class TuningCurve:
     m: float = 5.29
     n: int = 100
     b: float = field(default=None)
-    r_max: float = 76.2
 
     def __post_init__(self):
         if self.n < 4:
             raise ValueError(f"need at least 4 neurons, got {self.n}")
         if self.b is None:
-            object.__setattr__(self, "b", pinned_amplitude(self.a, self.m, self.r_max))
+            pinned = ((1.0 - _PEAK_MARGIN) * NEURON.r_max - self.a) / math.exp(self.m)
+            object.__setattr__(self, "b", pinned)
         peak = self.a + self.b * math.exp(self.m)
-        if self.a <= 0.0 or peak >= self.r_max:
+        if self.a <= 0.0 or peak >= NEURON.r_max:
             raise ValueError("tuning curve must stay strictly inside (0, r_max)")
 
     @property
@@ -116,16 +111,15 @@ def target_profile(curve: TuningCurve) -> np.ndarray:
     return curve.evaluate(curve.preferred_directions)
 
 
-def synthesize_recurrent(curve: TuningCurve, lam: float = DEFAULT_LAMBDA,
-                         params: NeuronParams = NeuronParams()) -> np.ndarray:
+def synthesize_recurrent(curve: TuningCurve, lam: float = DEFAULT_LAMBDA) -> np.ndarray:
     """Recurrent kernel from ridge-regularized Fourier deconvolution.
 
     Per discrete frequency k:  W_k = U_k * conj(F_k) / (lam + |F_k|^2),
     where F is the target profile and U its steady-state synaptic input.
     """
     f = target_profile(curve)
-    lo, hi = _PEAK_MARGIN * params.r_max, (1.0 - _PEAK_MARGIN) * params.r_max
-    u = inverse_transfer(np.clip(f, lo, hi), params)
+    lo, hi = _PEAK_MARGIN * NEURON.r_max, (1.0 - _PEAK_MARGIN) * NEURON.r_max
+    u = inverse_transfer(np.clip(f, lo, hi))
     f_hat = np.fft.fft(f)
     u_hat = np.fft.fft(u)
     w_hat = u_hat * np.conj(f_hat) / (lam + np.abs(f_hat) ** 2)
@@ -154,8 +148,7 @@ def derivative_kernel(w: np.ndarray) -> np.ndarray:
 
 def build_kernel(curve: TuningCurve = TuningCurve(),
                  lam: float = DEFAULT_LAMBDA,
-                 gamma: float = DEFAULT_GAMMA,
-                 params: NeuronParams = NeuronParams()) -> WeightKernel:
+                 gamma: float = DEFAULT_GAMMA) -> WeightKernel:
     """Assemble the recurrent and shift kernels of the network.
 
     The shift kernel ``gamma * W'`` moves the activity peak
@@ -164,7 +157,7 @@ def build_kernel(curve: TuningCurve = TuningCurve(),
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    w_hh = synthesize_recurrent(curve, lam, params)
+    w_hh = synthesize_recurrent(curve, lam)
     return WeightKernel(
         h_to_h=w_hh,
         s_to_h=gamma * derivative_kernel(w_hh),
@@ -196,21 +189,33 @@ def save_kernel(kernel: WeightKernel, path):
         fh.write("\n")
 
 
-def check_fields(doc, keys, where):
-    """Refuse a JSON value that is not an object holding each of ``keys``."""
+def check_fields(doc, fields, where):
+    """Refuse a JSON value that is not an object holding each key of
+    ``fields`` with a value of the type the key maps to. A float field
+    takes any finite number; true and false are no number."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
-    missing = [key for key in keys if key not in doc]
+    missing = [key for key in fields if key not in doc]
     if missing:
         raise ValueError(f"{where}: missing {', '.join(map(repr, missing))}")
+    for key, kind in fields.items():
+        value = doc[key]
+        if kind is float:
+            ok = isinstance(value, (int, float)) and math.isfinite(value)
+        else:
+            ok = isinstance(value, kind)
+        if not ok or isinstance(value, bool):
+            raise ValueError(f"{where}: {key!r} must be of type {kind.__name__}, "
+                             f"got {value!r:.40}")
 
 
 def load_kernel(path) -> WeightKernel:
     """Read a kernel file written by :func:`save_kernel`; a malformed one
-    raises ValueError naming the file and the missing key or bad vector."""
+    raises ValueError naming the file and the missing or mistyped key or
+    the bad vector."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    check_fields(doc, (), path)
+    check_fields(doc, {}, path)
     version = doc.get("version")
     if version == 1:
         raise ValueError(
@@ -219,8 +224,9 @@ def load_kernel(path) -> WeightKernel:
             "`hdcnav calibrate`")
     if version != _KERNEL_FORMAT_VERSION:
         raise ValueError(f"unsupported kernel file version: {version!r}")
-    check_fields(doc, ("n", "lambda", "gamma", "curve", "w_hh", "w_sh"), path)
-    check_fields(doc["curve"], ("a", "b", "m"), f"{path}: 'curve'")
+    check_fields(doc, {"n": int, "lambda": float, "gamma": float, "curve": dict,
+                       "w_hh": list, "w_sh": list}, path)
+    check_fields(doc["curve"], {"a": float, "b": float, "m": float}, f"{path}: 'curve'")
     n, vectors = doc["n"], []
     for key in ("w_hh", "w_sh"):
         try:
@@ -244,6 +250,6 @@ def load_kernel(path) -> WeightKernel:
 
 
 def kernel_hash(kernel: WeightKernel) -> str:
-    """Stable content hash used to pair calibrations with kernels."""
+    """Stable hash of all a kernel depends on; pairs calibrations with kernels."""
     payload = json.dumps(_kernel_document(kernel), sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()

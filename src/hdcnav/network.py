@@ -11,21 +11,21 @@ Euler step therefore costs two n x n ring products, ``W f_h`` (shared by
 all three layers) and ``gamma W' (f_L - f_R)``, plus one transfer-function
 evaluation. Self-connections (cell distance 0) carry no weight.
 
-``init_at`` with B headings adds a trailing batch axis: B independent
-networks with ``(n, B)`` rates, stepped together by the same code, each
-ring product then one n x B matrix product.
+The network's state is its ``rates`` array of shape ``(3, n)``: rows
+f_h, f_L and f_R. ``init_at`` with B headings adds a trailing batch axis:
+B independent networks with ``(3, n, B)`` rates, stepped together by the
+same code, each ring product then one n x B matrix product.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import WeightKernel
-from .neuron import NeuronParams, transfer
+from .neuron import NEURON, transfer
 
-__all__ = ["NetworkState", "TurningStimulus", "HDCNetwork", "decode",
-           "wrap_heading", "DegenerateActivityError"]
+__all__ = ["TurningStimulus", "HDCNetwork", "wrap_heading",
+           "DegenerateActivityError"]
 
 TWO_PI = 2.0 * np.pi
 # 25 tau of zero-stimulus relaxation before a replay or sweep. It fixes the
@@ -62,37 +62,10 @@ class TurningStimulus:
 ZERO_STIMULUS = TurningStimulus(0.0, 0.0)
 
 
-@dataclass
-class NetworkState:
-    """Firing rates of all three layers at one instant."""
-
-    hdc_rates: np.ndarray
-    shift_left_rates: np.ndarray
-    shift_right_rates: np.ndarray
-    sim_time: float = 0.0
-
-    def to_json(self, path):
-        doc = {
-            "sim_time": self.sim_time,
-            "hdc_rates": self.hdc_rates.tolist(),
-            "shift_left_rates": self.shift_left_rates.tolist(),
-            "shift_right_rates": self.shift_right_rates.tolist(),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-
-
-def _distance_matrix(n: int) -> np.ndarray:
-    # d(i, j) = (j - i) mod n
-    idx = np.arange(n)
-    return (idx[None, :] - idx[:, None]) % n
-
-
 def _projection(weights: np.ndarray) -> np.ndarray:
     """n x n connectivity from a distance-indexed kernel, diagonal zeroed."""
-    n = len(weights)
-    mat = weights[_distance_matrix(n)]
+    idx = np.arange(len(weights))
+    mat = weights[(idx[None, :] - idx[:, None]) % len(weights)]   # d(i, j) = (j - i) mod n
     np.fill_diagonal(mat, 0.0)
     return mat
 
@@ -103,72 +76,45 @@ def wrap_heading(angle):
     return angle * (angle < TWO_PI)
 
 
-def _basis(n: int) -> np.ndarray:
-    theta = 2.0 * np.pi * np.arange(n) / n
-    return np.stack((np.sin(theta), np.cos(theta)))
-
-
-def _decode(hdc_rates, basis, params: NeuronParams):
-    s, c = basis @ hdc_rates
-    heading = wrap_heading(np.arctan2(s, c))
-    magnitude = np.hypot(s, c)
-    degenerate = magnitude <= _DECODE_MAGNITUDE_FRACTION * len(hdc_rates) * params.r_max
-    if heading.ndim == 0:
-        if degenerate:
-            raise DegenerateActivityError(
-                f"population vector magnitude {magnitude:.3g} too small to decode")
-        return float(heading)
-    heading[degenerate] = np.nan
-    return heading
-
-
-def decode(state: NetworkState, params: NeuronParams = NeuronParams()):
-    """Population-vector heading of the HDC layer, in [0, 2*pi).
-
-    Batched rates give one heading per column, NaN where it is degenerate.
-    """
-    return _decode(state.hdc_rates, _basis(len(state.hdc_rates)), params)
-
-
 class HDCNetwork:
     """Stateful simulator of the heading network.
 
-    Instances are single-threaded; the kernel they are built from is
-    immutable and may be shared.
+    ``rates`` is its state (see the module docstring); a caller may read
+    or replace it. Instances are single-threaded; the kernel they are
+    built from is immutable and may be shared.
     """
 
-    def __init__(self, kernel: WeightKernel, params: NeuronParams = NeuronParams(),
-                 dt: float = DEFAULT_DT):
+    def __init__(self, kernel: WeightKernel, dt: float = DEFAULT_DT):
         kernel.validate()
-        if not 0.0 < dt <= params.max_dt:
-            raise ValueError(f"dt must be in (0, {params.max_dt}], got {dt}")
+        if not 0.0 < dt <= NEURON.max_dt:
+            raise ValueError(f"dt must be in (0, {NEURON.max_dt}], got {dt}")
         self.kernel = kernel
-        self.params = params
+        self.params = NEURON   # the neuron model, for callers that evaluate it
         self.dt = dt
-        self.n = kernel.n
         self._recurrent = _projection(kernel.h_to_h)
         self._shift = _projection(kernel.s_to_h)
-        self._basis = _basis(kernel.n)
-        # Rows: heading layer, shift-left layer, shift-right layer.
-        self._rates = np.zeros((3, kernel.n))
-        self.sim_time = 0.0
-
-    # -- state access ---------------------------------------------------
-
-    @property
-    def state(self) -> NetworkState:
-        hdc, left, right = self._rates.copy()
-        return NetworkState(hdc_rates=hdc, shift_left_rates=left,
-                            shift_right_rates=right, sim_time=self.sim_time)
-
-    def set_state(self, state: NetworkState):
-        self._rates[:] = (state.hdc_rates, state.shift_left_rates,
-                          state.shift_right_rates)
-        self.sim_time = state.sim_time
+        theta = 2.0 * np.pi * np.arange(kernel.n) / kernel.n
+        self._basis = np.stack((np.sin(theta), np.cos(theta)))
+        self._min_magnitude = _DECODE_MAGNITUDE_FRACTION * kernel.n * NEURON.r_max
+        self.rates = np.zeros((3, kernel.n))
 
     def decode(self):
-        """Heading in [0, 2*pi); one per column (NaN if degenerate) in a batch."""
-        return _decode(self._rates[0], self._basis, self.params)
+        """Population-vector heading of the heading layer, in [0, 2*pi).
+
+        A batch gives one heading per column, NaN where it is degenerate;
+        a single network raises DegenerateActivityError instead.
+        """
+        s, c = self._basis @ self.rates[0]
+        heading = wrap_heading(np.arctan2(s, c))
+        magnitude = np.hypot(s, c)
+        degenerate = magnitude <= self._min_magnitude
+        if heading.ndim == 0:
+            if degenerate:
+                raise DegenerateActivityError(
+                    f"population vector magnitude {magnitude:.3g} too small to decode")
+            return float(heading)
+        heading[degenerate] = np.nan
+        return heading
 
     # -- dynamics -------------------------------------------------------
 
@@ -187,16 +133,13 @@ class HDCNetwork:
             raise ValueError("heading must be finite: a scalar or a non-empty 1-D array")
         curve = self.kernel.curve
         profile = curve.evaluate(np.subtract.outer(curve.preferred_directions, heading))
-        self._rates = np.stack((profile, profile / 2.0, profile / 2.0))
-        self.sim_time = 0.0
+        self.rates = np.stack((profile, profile / 2.0, profile / 2.0))
         self.run_frame(ZERO_STIMULUS, SETTLE_SECONDS)
-        self.sim_time = 0.0
 
     def step(self, stim: TurningStimulus = ZERO_STIMULUS):
         """Advance all three layers by one Euler step of ``dt``."""
         self._check_batch(stim)
         self._step_inner(stim, self.dt)
-        self.sim_time += self.dt
 
     def run_frame(self, stim: TurningStimulus, frame_dt: float):
         """Hold ``stim`` constant for exactly ``frame_dt`` seconds.
@@ -211,16 +154,15 @@ class HDCNetwork:
         sub_dt = frame_dt / n_steps
         for _ in range(n_steps):
             self._step_inner(stim, sub_dt)
-        self.sim_time += frame_dt
 
     def _check_batch(self, stim: TurningStimulus):
-        if {np.shape(stim.left), np.shape(stim.right)} - {(), self._rates.shape[2:]}:
-            raise ValueError(f"stimulus does not match the batch shape {self._rates.shape[2:]}")
+        if {np.shape(stim.left), np.shape(stim.right)} - {(), self.rates.shape[2:]}:
+            raise ValueError(f"stimulus does not match the batch shape {self.rates.shape[2:]}")
 
     def _step_inner(self, stim: TurningStimulus, dt: float):
-        hdc, left, right = self._rates
+        hdc, left, right = self.rates
         drive = self._recurrent @ hdc
         half = drive / 2.0
         inputs = np.array((drive + self._shift @ (left - right),
                            half + stim.left, half + stim.right))
-        self._rates += (dt / self.params.tau) * (transfer(inputs, self.params) - self._rates)
+        self.rates += (dt / NEURON.tau) * (transfer(inputs) - self.rates)

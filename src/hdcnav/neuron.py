@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NeuronParams", "transfer", "inverse_transfer", "euler_step"]
+__all__ = ["NeuronParams", "NEURON", "transfer", "inverse_transfer", "euler_step"]
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,12 @@ class NeuronParams:
         return self.tau / 10.0
 
 
-def transfer(x, p: NeuronParams = NeuronParams()):
+# The one neuron model of the network and of kernel synthesis. The ``p``
+# arguments below let the functions be checked with other parameters.
+NEURON = NeuronParams()
+
+
+def transfer(x, p: NeuronParams = NEURON):
     """Sigmoid transfer from synaptic input to firing rate [Hz].
 
     Defined for all real inputs; output lies strictly in (0, r_max).
@@ -43,7 +48,7 @@ def transfer(x, p: NeuronParams = NeuronParams()):
     return p.r_max / (1.0 + np.exp(-p.beta * (np.asarray(x, dtype=float) - p.h0)))
 
 
-def inverse_transfer(f, p: NeuronParams = NeuronParams()):
+def inverse_transfer(f, p: NeuronParams = NEURON):
     """Synaptic input producing firing rate ``f`` at steady state.
 
     Raises ValueError outside the open interval (0, r_max); callers are
@@ -55,7 +60,7 @@ def inverse_transfer(f, p: NeuronParams = NeuronParams()):
     return p.h0 - np.log(p.r_max / f - 1.0) / p.beta
 
 
-def euler_step(rates, inputs, dt: float, p: NeuronParams = NeuronParams()):
+def euler_step(rates, inputs, dt: float, p: NeuronParams = NEURON):
     """One explicit Euler step of ``tau * df/dt = -f + transfer(input)``.
 
     ``dt`` is capped at tau/10 so the discrete update stays firmly inside

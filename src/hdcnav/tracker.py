@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import StimulusGain
-from .io import Trajectory
+from .io import Trajectory, cumulative_trapezoid
 from .kernel import WeightKernel
 from .network import HDCNetwork, TurningStimulus, wrap_heading
-from .neuron import NeuronParams
 
 __all__ = ["SampleResult", "TimingStats", "TrackingReport", "track",
            "baseline_integrate", "wrapped_error", "benchmark"]
@@ -131,14 +130,12 @@ def wrapped_error(a, b):
 def baseline_integrate(trajectory: Trajectory,
                        initial_heading: float = 0.0) -> np.ndarray:
     """Trapezoid-rule integration of the yaw rate, wrapped to [0, 2*pi)."""
-    t, omega = trajectory.t, trajectory.omega
-    turns = np.concatenate(([0.0], np.cumsum(np.diff(t) * (omega[1:] + omega[:-1]) / 2.0)))
+    turns = cumulative_trapezoid(trajectory.t, trajectory.omega)
     return wrap_heading(initial_heading % TWO_PI + turns)
 
 
 def track(trajectory: Trajectory, kernel: WeightKernel, gain: StimulusGain,
-          initial_heading: float = 0.0,
-          params: NeuronParams = NeuronParams()) -> TrackingReport:
+          initial_heading: float = 0.0) -> TrackingReport:
     """Replay a trajectory through the network and collect the report.
 
     The stimulus for each inter-sample interval is alpha * |omega| of the
@@ -150,7 +147,7 @@ def track(trajectory: Trajectory, kernel: WeightKernel, gain: StimulusGain,
     n = len(trajectory)
     if n < 2:
         raise ValueError(f"track needs at least two samples (one frame), got {n}")
-    net = HDCNetwork(kernel, params)
+    net = HDCNetwork(kernel)
     net.init_at(initial_heading)
 
     # Python floats: numpy scalars would slow every frame's arithmetic.
@@ -185,11 +182,10 @@ def track(trajectory: Trajectory, kernel: WeightKernel, gain: StimulusGain,
 
 
 def benchmark(trajectory: Trajectory, kernel: WeightKernel, gain: StimulusGain,
-              repetitions: int = 1,
-              params: NeuronParams = NeuronParams()) -> TimingStats:
+              repetitions: int = 1) -> TimingStats:
     """Aggregate per-frame compute times over repeated replays."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     return TimingStats.from_samples(np.concatenate(
-        [track(trajectory, kernel, gain, params=params).frame_s
+        [track(trajectory, kernel, gain).frame_s
          for _ in range(repetitions)]))

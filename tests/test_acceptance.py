@@ -60,7 +60,7 @@ def test_c3_settled_profile_matches_target():
     worst = 0.0
     for _ in range(10):  # sampled over 5 simulated seconds
         net.run_frame(ZERO_STIMULUS, 0.5)
-        worst = max(worst, float(np.max(np.abs(net.state.hdc_rates - target))))
+        worst = max(worst, float(np.max(np.abs(net.rates[0] - target))))
     assert worst <= 2.0
 
 
@@ -142,7 +142,7 @@ def test_c6_shape_preservation_during_rotation(kernel, gain):
     net = HDCNetwork(kernel)
     net.init_at(np.pi)
     h0 = net.decode()
-    settled = net.state.hdc_rates
+    settled = net.rates[0].copy()
     n = kernel.n
     freqs = np.fft.fftfreq(n, 1.0 / n)
     stim = TurningStimulus(left=gain.stimulus_for(math.radians(20)))
@@ -152,7 +152,7 @@ def test_c6_shape_preservation_during_rotation(kernel, gain):
         net.run_frame(stim, 0.01)
         shift = (net.decode() - h0) * n / (2 * np.pi)
         recentered = np.real(np.fft.ifft(
-            np.fft.fft(net.state.hdc_rates)
+            np.fft.fft(net.rates[0])
             * np.exp(2j * np.pi * freqs * shift / n)))
         worst = max(worst, float(np.max(np.abs(recentered - settled))))
     assert worst <= 3.0

@@ -155,6 +155,18 @@ def test_load_refuses_mismatched_kernel(tmp_path, gain):
     pytest.param(lambda d: {},
                  "missing 'alpha', 'fit_r2', 'max_velocity', 'gamma', 'kernel_hash'",
                  id="empty"),
+    pytest.param(lambda d: {**d, "alpha": "x"},
+                 "'alpha' must be of type float, got 'x'", id="string-alpha"),
+    pytest.param(lambda d: {**d, "alpha": None},
+                 "'alpha' must be of type float, got None", id="null-alpha"),
+    pytest.param(lambda d: {**d, "alpha": True},
+                 "'alpha' must be of type float, got True", id="bool-alpha"),
+    pytest.param(lambda d: {**d, "max_velocity": "x"},
+                 "'max_velocity' must be of type float, got 'x'", id="string-max_velocity"),
+    pytest.param(lambda d: {**d, "fit_r2": float("nan")},
+                 "'fit_r2' must be of type float, got nan", id="nan-fit_r2"),
+    pytest.param(lambda d: {**d, "kernel_hash": 5},
+                 "'kernel_hash' must be of type str, got 5", id="int-kernel_hash"),
 ])
 def test_load_rejects_malformed_file(tmp_path, gain, edit, message):
     path = tmp_path / "calibration.json"

@@ -153,6 +153,11 @@ def test_invalid_arguments_fail(tmp_path, kernel_file, calibration_file):
                  "--calibration", calibration_file,
                  "--trajectory", "a.csv", "--oxts", "b"])
     assert code == 1
+    # a noise level on a kind that adds no noise, and a negative one
+    for kind, sigma in (("balanced_maze", "0.1"), ("noisy", "-0.1")):
+        assert main(["generate", "--kind", kind, "--noise-sigma", sigma,
+                     "--out", str(tmp_path / "noise.csv")]) == 1
+    assert not (tmp_path / "noise.csv").exists()
 
 
 def test_config_file_and_flag_override(tmp_path, monkeypatch):
@@ -243,16 +248,20 @@ def test_generate_without_options_writes_default_profile(tmp_path, monkeypatch):
 def test_track_refuses_calibration_without_alpha(tmp_path, kernel_file,
                                                  calibration_file, trajectory_file,
                                                  capsys):
-    with open(calibration_file, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    del doc["alpha"]
     broken = tmp_path / "calibration.json"
-    broken.write_text(json.dumps(doc))
-    code = main(["track", "--kernel", kernel_file, "--calibration", str(broken),
-                 "--trajectory", trajectory_file,
-                 "--report", str(tmp_path / "report.json")])
-    assert code == 1
-    assert f"{broken}: missing 'alpha'" in capsys.readouterr().err
+    for alpha, message in ((None, "missing 'alpha'"),
+                           ("x", "'alpha' must be of type float, got 'x'")):
+        with open(calibration_file, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        del doc["alpha"]
+        if alpha is not None:
+            doc["alpha"] = alpha
+        broken.write_text(json.dumps(doc))
+        code = main(["track", "--kernel", kernel_file, "--calibration", str(broken),
+                     "--trajectory", trajectory_file,
+                     "--report", str(tmp_path / "report.json")])
+        assert code == 1
+        assert f"error: {broken}: {message}" in capsys.readouterr().err
 
 
 # (subcommand, its other arguments, output flag, option, value, other value):

@@ -231,6 +231,12 @@ def test_profile_validation():
         SyntheticProfile("noisy", 0.1, -1.0)
     with pytest.raises(ValueError):
         SyntheticProfile("noisy", 0.0, 10.0)
+    for kind in ("constant_rotation", "balanced_maze"):
+        with pytest.raises(ValueError, match="noisy kind only"):
+            SyntheticProfile(kind, 0.1, 10.0, noise_sigma=0.1)
+    for sigma in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            SyntheticProfile("noisy", 0.1, 10.0, noise_sigma=sigma)
 
 
 def test_constant_rotation_one_lap():

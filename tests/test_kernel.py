@@ -163,6 +163,12 @@ def test_load_rejects_unknown_version(tmp_path, kernel, version):
                  r"'w_hh' is not a list of finite numbers", id="non-numeric"),
     pytest.param(lambda d: {**d, "w_sh": [None] * 100},
                  r"'w_sh' is not a list of finite numbers", id="null-values"),
+    pytest.param(lambda d: {**d, "curve": {**d["curve"], "a": "x"}},
+                 r"'curve': 'a' must be of type float, got 'x'", id="string-curve-a"),
+    pytest.param(lambda d: {**d, "gamma": None},
+                 r"'gamma' must be of type float, got None", id="null-gamma"),
+    pytest.param(lambda d: {**d, "n": 100.0},
+                 r"'n' must be of type int, got 100.0", id="float-n"),
 ])
 def test_load_rejects_malformed_file(tmp_path, kernel, edit, message):
     path = tmp_path / "kernel.json"

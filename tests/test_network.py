@@ -5,8 +5,7 @@ import pytest
 
 from hdcnav.io import SyntheticProfile, generate
 from hdcnav.network import (DEFAULT_DT, SETTLE_SECONDS, DegenerateActivityError,
-                            HDCNetwork, NetworkState, TurningStimulus,
-                            ZERO_STIMULUS, decode)
+                            HDCNetwork, TurningStimulus, ZERO_STIMULUS)
 from hdcnav.neuron import euler_step
 from hdcnav.io import Trajectory
 from hdcnav.tracker import track
@@ -30,22 +29,22 @@ def test_stimulus_validation():
         TurningStimulus(right=float("nan"))
 
 
-def test_decode_of_synthetic_bump():
-    n = 100
-    theta = 2 * np.pi * np.arange(n) / n
-    state = NetworkState(
-        hdc_rates=10.0 + 60.0 * np.exp(5.0 * (np.cos(theta - 1.0) - 1.0)),
-        shift_left_rates=np.zeros(n), shift_right_rates=np.zeros(n))
-    assert decode(state) == pytest.approx(1.0, abs=1e-6)
+def decode_rates(kernel, hdc_rates):
+    """Decode of a network whose heading layer holds ``hdc_rates``."""
+    net = HDCNetwork(kernel)
+    net.rates = np.stack((hdc_rates, hdc_rates, hdc_rates))
+    return net.decode()
 
 
-def test_decode_rejects_flat_activity():
-    n = 100
-    state = NetworkState(hdc_rates=np.full(n, 10.0),
-                         shift_left_rates=np.zeros(n),
-                         shift_right_rates=np.zeros(n))
+def test_decode_of_synthetic_bump(kernel):
+    theta = 2 * np.pi * np.arange(kernel.n) / kernel.n
+    bump = 10.0 + 60.0 * np.exp(5.0 * (np.cos(theta - 1.0) - 1.0))
+    assert decode_rates(kernel, bump) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_decode_rejects_flat_activity(kernel):
     with pytest.raises(DegenerateActivityError):
-        decode(state)
+        decode_rates(kernel, np.full(kernel.n, 10.0))
 
 
 def test_decode_maps_tiny_negative_angle_to_zero(kernel):
@@ -53,20 +52,16 @@ def test_decode_maps_tiny_negative_angle_to_zero(kernel):
     # vector's angle is a tiny negative number, which % 2*pi rounds to 2*pi.
     rates = np.zeros(kernel.n)
     rates[0], rates[-1] = 1000.0, 1e-17
-    assert decode(NetworkState(rates, rates, rates)) == 0.0
-    net = HDCNetwork(kernel)
-    net.set_state(NetworkState(rates, rates, rates))
-    assert net.decode() == 0.0
-    batch = np.column_stack((rates, rates))
-    assert decode(NetworkState(batch, batch, batch)).tolist() == [0.0, 0.0]
+    assert decode_rates(kernel, rates) == 0.0
+    assert decode_rates(kernel, np.column_stack((rates, rates))).tolist() == [0.0, 0.0]
 
 
-def test_batched_decode_reports_degenerate_columns():
-    n = 100
+def test_batched_decode_reports_degenerate_columns(kernel):
+    n = kernel.n
     theta = 2 * np.pi * np.arange(n) / n
     bump = 10.0 + 60.0 * np.exp(5.0 * (np.cos(theta - 1.0) - 1.0))
-    rates = np.column_stack((bump, np.full(n, 10.0), np.roll(bump, 25)))
-    headings = decode(NetworkState(rates, rates, rates))
+    headings = decode_rates(kernel, np.column_stack((bump, np.full(n, 10.0),
+                                                     np.roll(bump, 25))))
     assert headings.shape == (3,)
     assert np.isnan(headings[1])
     assert headings[0] == pytest.approx(1.0, abs=1e-6)
@@ -82,8 +77,8 @@ def test_batch_matches_single_networks(kernel):
     for frame_dt in frames:
         batch.run_frame(TurningStimulus(left, right), frame_dt)
     batch.step(TurningStimulus(left, right))
-    assert batch.state.hdc_rates.shape == (kernel.n, 3)
-    decoded = batch.decode()
+    assert batch.rates.shape == (3, kernel.n, 3)
+    batch_decoded = batch.decode()
     for col in range(3):
         net = HDCNetwork(kernel)
         net.init_at(headings[col])
@@ -91,13 +86,10 @@ def test_batch_matches_single_networks(kernel):
         for frame_dt in frames:
             net.run_frame(stim, frame_dt)
         net.step(stim)
-        single, batched = net.state, batch.state
-        assert single.hdc_rates.shape == (kernel.n,)
+        assert net.rates.shape == (3, kernel.n)
         assert type(net.decode()) is float
-        for layer in ("hdc_rates", "shift_left_rates", "shift_right_rates"):
-            np.testing.assert_allclose(getattr(batched, layer)[:, col],
-                                       getattr(single, layer), rtol=0, atol=1e-12)
-        assert abs(wrapped_deg(decoded[col], net.decode())) < 1e-9
+        np.testing.assert_allclose(batch.rates[..., col], net.rates, rtol=0, atol=1e-12)
+        assert abs(wrapped_deg(batch_decoded[col], net.decode())) < 1e-9
 
 
 def test_batch_refuses_mismatched_stimulus(kernel):
@@ -131,21 +123,17 @@ def test_init_at_grid_consistency(kernel):
 
 
 def test_settled_rates_bounded(settled):
-    state = settled.state
-    for rates in (state.hdc_rates, state.shift_left_rates,
-                  state.shift_right_rates):
-        assert np.all(rates > 0.0)
-        assert np.all(rates < 76.2)
+    assert np.all(settled.rates > 0.0)
+    assert np.all(settled.rates < 76.2)
 
 
 def test_shift_layers_mirror_hdc_shape(settled):
-    state = settled.state
-    np.testing.assert_allclose(state.shift_left_rates, state.shift_right_rates,
-                               atol=1e-9)
+    hdc, left, right = settled.rates
+    np.testing.assert_allclose(left, right, atol=1e-9)
     # same peak location as the heading layer
-    assert np.argmax(state.shift_left_rates) == np.argmax(state.hdc_rates)
+    assert np.argmax(left) == np.argmax(hdc)
     # lower amplitude: phi(u/2) of the heading layer's recurrent drive
-    ratio = state.shift_left_rates.max() / state.hdc_rates.max()
+    ratio = left.max() / hdc.max()
     assert 0.4 < ratio < 0.75
 
 
@@ -190,14 +178,15 @@ def test_left_stimulus_moves_counterclockwise(kernel):
 
 
 def test_run_frame_substep_count(kernel):
-    net = HDCNetwork(kernel, dt=0.0005)
-    net.init_at(0.0)
-    # 10 ms frame at 0.5 ms steps: 20 substeps; 50 ms: 100 substeps.
-    assert int(np.ceil(0.010 / net.dt - 1e-9)) == 20
-    assert int(np.ceil(0.050 / net.dt - 1e-9)) == 100
-    t0 = net.sim_time
-    net.run_frame(ZERO_STIMULUS, 0.010)
-    assert net.sim_time - t0 == pytest.approx(0.010)
+    # A 10 ms frame at 0.5 ms steps is 20 steps.
+    framed, stepped = HDCNetwork(kernel, dt=0.0005), HDCNetwork(kernel, dt=0.0005)
+    framed.init_at(0.0)
+    stepped.rates = framed.rates.copy()
+    stim = TurningStimulus(left=0.03)
+    framed.run_frame(stim, 0.010)
+    for _ in range(20):
+        stepped.step(stim)
+    np.testing.assert_allclose(framed.rates, stepped.rates, rtol=1e-12, atol=0)
 
 
 def test_run_frame_rejects_subresolution_interval(kernel):
@@ -212,22 +201,16 @@ def test_invalid_dt_rejected(kernel):
 
 
 def test_state_round_trip(kernel):
+    # Putting saved rates back replays the same frame from the same state.
     net = HDCNetwork(kernel)
     net.init_at(2.0)
-    saved = net.state
+    saved, heading = net.rates.copy(), net.decode()
     net.run_frame(TurningStimulus(left=0.03), 0.5)
-    net.set_state(saved)
-    assert net.decode() == pytest.approx(decode(saved))
-
-
-def test_state_to_json(tmp_path, settled):
-    path = tmp_path / "state.json"
-    settled.state.to_json(path)
-    import json
-    doc = json.loads(path.read_text())
-    assert len(doc["hdc_rates"]) == 100
-    assert set(doc) == {"sim_time", "hdc_rates", "shift_left_rates",
-                        "shift_right_rates"}
+    moved = net.rates.copy()
+    net.rates = saved.copy()
+    assert net.decode() == heading
+    net.run_frame(TurningStimulus(left=0.03), 0.5)
+    np.testing.assert_array_equal(net.rates, moved)
 
 
 def test_halving_dt_changes_little(kernel, gain):
@@ -288,16 +271,6 @@ def _block_step(block, rates, stim, dt):
     return euler_step(rates, block @ rates + drive, dt)
 
 
-def _stacked(state):
-    return np.concatenate((state.hdc_rates, state.shift_left_rates,
-                           state.shift_right_rates))
-
-
-def _unstacked(rates):
-    hdc, left, right = np.split(rates, 3)
-    return NetworkState(hdc, left, right)
-
-
 def test_step_matches_block_oracle(kernel):
     block = _block_matrix(kernel)
     rng = np.random.default_rng(11)
@@ -305,9 +278,10 @@ def test_step_matches_block_oracle(kernel):
     for _ in range(10):
         rates = rng.uniform(0.0, 76.2, 3 * kernel.n)
         stim = TurningStimulus(*rng.uniform(0.0, 1.0, 2))
-        net.set_state(_unstacked(rates))
+        net.rates = rates.reshape(3, kernel.n).copy()
         net.step(stim)
-        np.testing.assert_allclose(_stacked(net.state),
+        # The stacked state [hdc, shift_left, shift_right] is rates.ravel().
+        np.testing.assert_allclose(net.rates.ravel(),
                                    _block_step(block, rates, stim, net.dt),
                                    rtol=1e-12)
 
@@ -328,11 +302,18 @@ def test_maze_replay_matches_block_oracle(kernel, gain):
     profile = curve.evaluate(curve.preferred_directions)
     rates = run(np.concatenate((profile, profile / 2.0, profile / 2.0)),
                 ZERO_STIMULUS, SETTLE_SECONDS)
-    oracle = [decode(_unstacked(rates))]
+    # One network, never stepped, decodes each oracle state.
+    readout = HDCNetwork(kernel)
+
+    def heading(rates):
+        readout.rates = rates.reshape(3, kernel.n)
+        return readout.decode()
+
+    oracle = [heading(rates)]
     for prev, rec in zip(records, records[1:]):
         level = gain.stimulus_for(rec.omega)
         stim = (TurningStimulus(left=level) if rec.omega >= 0.0
                 else TurningStimulus(right=level))
         rates = run(rates, stim, rec.t - prev.t)
-        oracle.append(decode(_unstacked(rates)))
+        oracle.append(heading(rates))
     assert np.max(np.abs(wrapped_deg(np.array(decoded), np.array(oracle)))) < 1e-9
