@@ -5,6 +5,10 @@ levels and measures the steady drift speed of the activity bump; a
 least-squares line through the origin is then inverted to obtain the
 stimulus gain used by the tracker. All levels run together as the
 columns of one batched network.
+
+A calibration belongs to one weight kernel: ``fit_gain`` and
+``load_calibration`` both take it, the file records its gamma and hash,
+and a load refuses a file made for another kernel.
 """
 
 import json
@@ -64,38 +68,17 @@ class StimulusGain:
         return self.alpha * abs(omega)
 
 
-def measure_drift_velocity(net: HDCNetwork, stimulus: TurningStimulus,
-                           duration: float = SWEEP_DURATION,
-                           frame_dt: float = SWEEP_FRAME_DT):
-    """Steady bump velocity [rad/s] under a constant stimulus.
-
-    The first half of the run is discarded as transient; the slope of the
-    unwrapped decoded heading over the second half is returned. A batched
-    network gives one velocity per column, NaN for a column whose bump
-    collapsed at any frame; a single one raises DegenerateActivityError.
-    """
-    n_frames = int(round(duration / frame_dt))
-    headings = [net.decode()]
-    for _ in range(n_frames):
-        net.run_frame(stimulus, frame_dt)
-        headings.append(net.decode())
-    headings = np.unwrap(np.asarray(headings), axis=0)
-    times = frame_dt * np.arange(n_frames + 1)
-    half = len(times) // 2
-    # A collapsed column's NaN headings make its slope NaN and no other's:
-    # unwrap and the least-squares fit act on each column alone.
-    slope = np.polyfit(times[half:], headings[half:], 1)[0]
-    return float(slope) if slope.ndim == 0 else slope
-
-
 def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
           duration: float = SWEEP_DURATION) -> list:
     """Measure bump velocity for each stimulus level on the shift-left layer.
 
-    One batched network runs every level at once, one column per level.
-    Levels at which the bump collapses, or at which a positive level does
-    not move it forward (it reverses at strong stimuli), are reported as
-    degenerate samples and later excluded from the fit.
+    One batched network runs every level at once, one column per level,
+    decoded every ``SWEEP_FRAME_DT``. The first half of the run is
+    discarded as transient; a level's velocity is the slope of its
+    unwrapped heading over the second half. Levels at which the bump
+    collapses, or at which a positive level does not move it forward (it
+    reverses at strong stimuli), are reported as degenerate samples and
+    later excluded from the fit.
     """
     levels = np.asarray(stimuli, dtype=float)
     if levels.ndim != 1 or levels.size == 0 or not np.isfinite(levels).all():
@@ -108,30 +91,37 @@ def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
         raise ValueError("sweep duration must be at least 2 s")
     net = HDCNetwork(kernel)
     net.init_at(np.full(levels.size, np.pi))
-    velocities = measure_drift_velocity(net, TurningStimulus(left=levels), duration)
+    stimulus = TurningStimulus(left=levels)
+    n_frames = int(round(duration / SWEEP_FRAME_DT))
+    headings = [net.decode()]
+    for _ in range(n_frames):
+        net.run_frame(stimulus, SWEEP_FRAME_DT)
+        headings.append(net.decode())
+    headings = np.unwrap(headings, axis=0)
+    times = SWEEP_FRAME_DT * np.arange(n_frames + 1)
+    half = len(times) // 2
+    # A collapsed column's NaN headings make its slope NaN and no other's:
+    # unwrap and the least-squares fit act on each column alone.
+    velocities = np.polyfit(times[half:], headings[half:], 1)[0]
     # NaN fails v > 0, so a collapsed positive level is caught here too.
     return [SweepSample(stimulus=s, velocity=v,
                         degenerate=math.isnan(v) or (s > 0 and not v > 0))
             for s, v in zip(levels.tolist(), velocities.tolist())]
 
 
-def fit_gain(samples, kernel: WeightKernel = None,
-             gamma: float = None) -> StimulusGain:
-    """Least-squares line through the origin, inverted to a stimulus gain.
+def fit_gain(samples, kernel: WeightKernel) -> StimulusGain:
+    """Least-squares line through the origin, inverted to the stimulus gain
+    of ``kernel``, whose gamma and hash the result carries.
 
-    ``samples`` may be SweepSample objects or (stimulus, velocity) pairs.
-    Degenerate levels, levels that are not positive and non-finite
-    velocities are excluded, and every error names them; a fit with R^2
-    below 0.99 is rejected since it indicates a mis-built kernel or
-    flipped sign convention.
+    ``samples`` are SweepSamples. Degenerate levels, levels that are not
+    positive and non-finite velocities are excluded, and every error names
+    them; a fit with R^2 below 0.99 is rejected since it indicates a
+    mis-built kernel or flipped sign convention.
     """
     pairs, excluded = [], []
     for sample in samples:
-        if isinstance(sample, SweepSample):
-            s, v, degenerate = sample.stimulus, sample.velocity, sample.degenerate
-        else:
-            s, v, degenerate = float(sample[0]), float(sample[1]), False
-        if degenerate:
+        s, v = sample.stimulus, sample.velocity
+        if sample.degenerate:
             excluded.append(f"{s:g} (degenerate, velocity {v:.4g} rad/s)")
         elif not s > 0:
             excluded.append(f"{s:g} (not positive)")
@@ -159,8 +149,8 @@ def fit_gain(samples, kernel: WeightKernel = None,
         alpha=1.0 / slope,
         fit_r2=r2,
         max_velocity=max_velocity,
-        gamma=kernel.gamma if kernel is not None else gamma,
-        kernel_hash=kernel_hash(kernel) if kernel is not None else "",
+        gamma=kernel.gamma,
+        kernel_hash=kernel_hash(kernel),
     )
 
 
@@ -177,10 +167,10 @@ def save_calibration(gain: StimulusGain, path):
         fh.write("\n")
 
 
-def load_calibration(path, kernel: WeightKernel = None) -> StimulusGain:
-    """Load a calibration file, refusing one built for a different kernel;
-    a malformed one raises ValueError naming the file and the missing or
-    mistyped keys."""
+def load_calibration(path, kernel: WeightKernel) -> StimulusGain:
+    """Load a calibration file made for ``kernel``, refusing one built for a
+    different kernel; a malformed one raises ValueError naming the file and
+    the missing or mistyped keys before any hash is compared."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     check_fields(doc, {"alpha": float, "fit_r2": float, "max_velocity": float,
@@ -188,7 +178,7 @@ def load_calibration(path, kernel: WeightKernel = None) -> StimulusGain:
     gain = StimulusGain(alpha=doc["alpha"], fit_r2=doc["fit_r2"],
                         max_velocity=doc["max_velocity"], gamma=doc["gamma"],
                         kernel_hash=doc["kernel_hash"])
-    if kernel is not None and gain.kernel_hash != kernel_hash(kernel):
+    if gain.kernel_hash != kernel_hash(kernel):
         raise CalibrationMismatchError(
             "calibration was produced for a different kernel "
             f"(hash {gain.kernel_hash[:12]}... vs {kernel_hash(kernel)[:12]}...)")

@@ -238,8 +238,11 @@ def load_kernel(path) -> WeightKernel:
         if vector.shape != (n,):
             raise ValueError(f"{path}: {key!r} has shape {vector.shape}, but n is {n!r}")
         vectors.append(vector)
-    curve = TuningCurve(a=doc["curve"]["a"], m=doc["curve"]["m"],
-                        n=n, b=doc["curve"]["b"])
+    try:
+        curve = TuningCurve(a=doc["curve"]["a"], m=doc["curve"]["m"],
+                            n=n, b=doc["curve"]["b"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: 'curve': {exc}") from None
     return WeightKernel(
         h_to_h=vectors[0],
         s_to_h=vectors[1],

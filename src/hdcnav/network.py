@@ -138,31 +138,25 @@ class HDCNetwork:
 
     def step(self, stim: TurningStimulus = ZERO_STIMULUS):
         """Advance all three layers by one Euler step of ``dt``."""
-        self._check_batch(stim)
-        self._step_inner(stim, self.dt)
+        self.run_frame(stim, self.dt)
 
     def run_frame(self, stim: TurningStimulus, frame_dt: float):
         """Hold ``stim`` constant for exactly ``frame_dt`` seconds.
 
         The frame is split into the fewest equal Euler sub-steps no longer
-        than ``dt``, so frames off the ``dt`` grid are not over-integrated.
+        than ``dt``, so frames off the ``dt`` grid are not over-integrated;
+        a frame shorter than ``dt`` is one sub-step of its own length.
         """
-        if frame_dt < self.dt:
-            raise ValueError(f"frame_dt {frame_dt} shorter than one Euler step {self.dt}")
-        self._check_batch(stim)
-        n_steps = int(np.ceil(frame_dt / self.dt - 1e-9))
-        sub_dt = frame_dt / n_steps
-        for _ in range(n_steps):
-            self._step_inner(stim, sub_dt)
-
-    def _check_batch(self, stim: TurningStimulus):
+        if not 0.0 < frame_dt < np.inf:
+            raise ValueError(f"frame_dt must be positive and finite, got {frame_dt}")
         if {np.shape(stim.left), np.shape(stim.right)} - {(), self.rates.shape[2:]}:
             raise ValueError(f"stimulus does not match the batch shape {self.rates.shape[2:]}")
-
-    def _step_inner(self, stim: TurningStimulus, dt: float):
-        hdc, left, right = self.rates
-        drive = self._recurrent @ hdc
-        half = drive / 2.0
-        inputs = np.array((drive + self._shift @ (left - right),
-                           half + stim.left, half + stim.right))
-        self.rates += (dt / NEURON.tau) * (transfer(inputs) - self.rates)
+        n_steps = max(1, int(np.ceil(frame_dt / self.dt - 1e-9)))
+        dt_tau = frame_dt / n_steps / NEURON.tau
+        for _ in range(n_steps):
+            hdc, left, right = self.rates
+            drive = self._recurrent @ hdc
+            half = drive / 2.0
+            inputs = np.array((drive + self._shift @ (left - right),
+                               half + stim.left, half + stim.right))
+            self.rates += dt_tau * (transfer(inputs) - self.rates)

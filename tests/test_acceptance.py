@@ -11,7 +11,6 @@ import os
 import numpy as np
 import pytest
 
-from hdcnav.calibration import fit_gain, sweep
 from hdcnav.io import SyntheticProfile, generate, read_oxts
 from hdcnav.kernel import TuningCurve, synthesize_recurrent, target_profile
 from hdcnav.network import HDCNetwork, TurningStimulus, ZERO_STIMULUS

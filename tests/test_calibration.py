@@ -13,46 +13,46 @@ from hdcnav.network import DegenerateActivityError, HDCNetwork, TurningStimulus
 
 
 def synthetic_samples(slope, levels=(0.01, 0.02, 0.03, 0.04, 0.05, 0.06)):
-    return [(s, slope * s) for s in levels]
+    return [SweepSample(s, slope * s) for s in levels]
 
 
-def test_fit_recovers_exact_line():
-    gain = fit_gain(synthetic_samples(12.0), gamma=1.0)
+def test_fit_recovers_exact_line(kernel):
+    gain = fit_gain(synthetic_samples(12.0), kernel)
     assert gain.alpha == pytest.approx(1.0 / 12.0, rel=1e-12)
     assert gain.fit_r2 == pytest.approx(1.0)
     assert gain.max_velocity == pytest.approx(12.0 * 0.06)
 
 
-def test_fit_matches_normal_equation_oracle(rng):
+def test_fit_matches_normal_equation_oracle(rng, kernel):
     levels = np.linspace(0.01, 0.08, 8)
     v = 11.0 * levels + rng.normal(0.0, 0.002, len(levels))
-    gain = fit_gain(list(zip(levels, v)), gamma=1.0)
+    gain = fit_gain([SweepSample(s, u) for s, u in zip(levels, v)], kernel)
     slope_oracle = float(levels @ v / (levels @ levels))
     assert gain.alpha == pytest.approx(1.0 / slope_oracle, rel=1e-12)
 
 
-def test_fit_rejects_nonlinear_sweep():
+def test_fit_rejects_nonlinear_sweep(kernel):
     levels = np.linspace(0.01, 0.08, 8)
     v = 5.0 * np.sqrt(levels)  # clearly not through-origin linear
     with pytest.raises(GainFitError):
-        fit_gain(list(zip(levels, v)), gamma=1.0)
+        fit_gain([SweepSample(s, u) for s, u in zip(levels, v)], kernel)
 
 
-def test_fit_rejects_negative_slope():
+def test_fit_rejects_negative_slope(kernel):
     with pytest.raises(GainFitError):
-        fit_gain(synthetic_samples(-3.0), gamma=1.0)
+        fit_gain(synthetic_samples(-3.0), kernel)
 
 
-def test_fit_requires_enough_samples():
+def test_fit_requires_enough_samples(kernel):
     with pytest.raises(GainFitError):
-        fit_gain(synthetic_samples(12.0, levels=(0.01, 0.02, 0.03)), gamma=1.0)
+        fit_gain(synthetic_samples(12.0, levels=(0.01, 0.02, 0.03)), kernel)
 
 
-def test_fit_skips_degenerate_samples():
+def test_fit_skips_degenerate_samples(kernel):
     samples = [SweepSample(s, 12.0 * s) for s in
                (0.01, 0.02, 0.03, 0.04, 0.05)]
     samples.append(SweepSample(0.5, float("nan"), degenerate=True))
-    gain = fit_gain(samples, gamma=1.0)
+    gain = fit_gain(samples, kernel)
     assert gain.alpha == pytest.approx(1.0 / 12.0, rel=1e-12)
 
 
@@ -168,10 +168,10 @@ def test_load_refuses_mismatched_kernel(tmp_path, gain):
     pytest.param(lambda d: {**d, "kernel_hash": 5},
                  "'kernel_hash' must be of type str, got 5", id="int-kernel_hash"),
 ])
-def test_load_rejects_malformed_file(tmp_path, gain, edit, message):
+def test_load_rejects_malformed_file(tmp_path, kernel, gain, edit, message):
     path = tmp_path / "calibration.json"
     save_calibration(gain, path)
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     with pytest.raises(ValueError, match=message) as info:
-        load_calibration(path)
+        load_calibration(path, kernel)
     assert str(info.value).startswith(str(path))

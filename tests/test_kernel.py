@@ -169,6 +169,9 @@ def test_load_rejects_unknown_version(tmp_path, kernel, version):
                  r"'gamma' must be of type float, got None", id="null-gamma"),
     pytest.param(lambda d: {**d, "n": 100.0},
                  r"'n' must be of type int, got 100.0", id="float-n"),
+    pytest.param(lambda d: {**d, "curve": {**d["curve"], "a": -1.0}},
+                 r"'curve': tuning curve must stay strictly inside \(0, r_max\)",
+                 id="negative-curve-a"),
 ])
 def test_load_rejects_malformed_file(tmp_path, kernel, edit, message):
     path = tmp_path / "kernel.json"

@@ -189,10 +189,24 @@ def test_run_frame_substep_count(kernel):
     np.testing.assert_allclose(framed.rates, stepped.rates, rtol=1e-12, atol=0)
 
 
+def test_run_frame_short_interval_is_one_substep(kernel):
+    # A 0.3 ms frame at 0.5 ms steps is one Euler step of 0.3 ms.
+    framed, stepped = HDCNetwork(kernel, dt=0.0005), HDCNetwork(kernel, dt=0.0003)
+    framed.init_at(0.0)
+    stepped.rates = framed.rates.copy()
+    stim = TurningStimulus(left=0.03)
+    framed.run_frame(stim, 0.0003)
+    stepped.step(stim)
+    np.testing.assert_array_equal(framed.rates, stepped.rates)
+
+
 def test_run_frame_rejects_subresolution_interval(kernel):
+    # Only an interval that is not positive and finite is refused; a short
+    # one runs as a single sub-step (see the test above).
     net = HDCNetwork(kernel)
-    with pytest.raises(ValueError):
-        net.run_frame(ZERO_STIMULUS, 1e-5)
+    for frame_dt in (0.0, -0.01, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            net.run_frame(ZERO_STIMULUS, frame_dt)
 
 
 def test_invalid_dt_rejected(kernel):

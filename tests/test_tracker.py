@@ -187,6 +187,18 @@ def test_track_refuses_single_sample(kernel, gain):
         track(Trajectory([0.0], [0.1], [0.0]), kernel, gain)
 
 
+def test_track_runs_interval_shorter_than_dt(kernel, gain):
+    # 2 s of a 100 Hz 20 deg/s rotation with one extra sample 0.3 ms after t = 1 s.
+    t = [0.01 * i for i in range(201)]
+    t.insert(101, 1.0003)
+    omega = [math.radians(20)] * len(t)
+    report = track(Trajectory(t, omega), kernel, gain)
+    assert np.isfinite(report.decoded).all()
+    regular = track(Trajectory(t[:101] + t[102:], omega[1:]), kernel, gain)
+    # Skipping the 0.3 ms or stepping a full dt moves it by about 1e-4 rad.
+    assert _wrapped_rad(report.decoded[-1], regular.decoded[-1]) < 1e-6
+
+
 def test_track_columns_match_per_frame_reference(kernel, gain):
     records = generate(SyntheticProfile("balanced_maze", math.radians(30), 10.0))
     report = track(records, kernel, gain, initial_heading=0.2)
