@@ -2,7 +2,9 @@
 
 The recurrent kernel is obtained by regularized deconvolution of the
 target tuning profile in the Fourier domain; the shift-layer kernels are
-its spectral derivative scaled by the shift gain.
+its spectral derivative scaled by the shift gain. A kernel file holds
+only these synthesis parameters (n, lambda, gamma and the tuning curve);
+loading one builds the weights again.
 """
 
 import hashlib
@@ -55,13 +57,13 @@ class TuningCurve:
 
     def __post_init__(self):
         if self.n < 4:
-            raise ValueError(f"need at least 4 neurons, got {self.n}")
+            raise ValueError(f"'n': need at least 4 neurons, got {self.n}")
         if self.b is None:
             pinned = ((1.0 - _PEAK_MARGIN) * NEURON.r_max - self.a) / math.exp(self.m)
             object.__setattr__(self, "b", pinned)
         peak = self.a + self.b * math.exp(self.m)
-        if self.a <= 0.0 or peak >= NEURON.r_max:
-            raise ValueError("tuning curve must stay strictly inside (0, r_max)")
+        if not (self.a > 0.0 and peak < NEURON.r_max):  # NaN fails too
+            raise ValueError("'curve': tuning curve must stay strictly inside (0, r_max)")
 
     @property
     def preferred_directions(self) -> np.ndarray:
@@ -155,8 +157,10 @@ def build_kernel(curve: TuningCurve = TuningCurve(),
     counterclockwise (toward larger headings) when the shift-left layer is
     stimulated; the shift-right layer projects through its negation.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError(f"'lambda': must be positive and finite, got {lam}")
+    if not (gamma >= 0.0 and math.isfinite(gamma)):
+        raise ValueError(f"'gamma': must be finite and >= 0, got {gamma}")
     w_hh = synthesize_recurrent(curve, lam)
     return WeightKernel(
         h_to_h=w_hh,
@@ -171,19 +175,18 @@ _KERNEL_FORMAT_VERSION = 2
 
 
 def _kernel_document(kernel: WeightKernel) -> dict:
+    """The synthesis parameters, all a kernel file holds."""
     return {
         "version": _KERNEL_FORMAT_VERSION,
         "n": kernel.n,
         "lambda": kernel.lam,
         "gamma": kernel.gamma,
         "curve": {"a": kernel.curve.a, "b": kernel.curve.b, "m": kernel.curve.m},
-        "w_hh": kernel.h_to_h.tolist(),
-        "w_sh": kernel.s_to_h.tolist(),
     }
 
 
 def save_kernel(kernel: WeightKernel, path):
-    """Write the kernel as a versioned JSON document."""
+    """Write the kernel's synthesis parameters as a versioned JSON document."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_kernel_document(kernel), fh, indent=1)
         fh.write("\n")
@@ -210,9 +213,10 @@ def check_fields(doc, fields, where):
 
 
 def load_kernel(path) -> WeightKernel:
-    """Read a kernel file written by :func:`save_kernel`; a malformed one
-    raises ValueError naming the file and the missing or mistyped key or
-    the bad vector."""
+    """Build the kernel whose parameters a file written by
+    :func:`save_kernel` holds. Weight vectors in older files are not read.
+    A malformed file raises ValueError naming the file and the key at
+    fault."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     check_fields(doc, {}, path)
@@ -224,35 +228,21 @@ def load_kernel(path) -> WeightKernel:
             "`hdcnav calibrate`")
     if version != _KERNEL_FORMAT_VERSION:
         raise ValueError(f"unsupported kernel file version: {version!r}")
-    check_fields(doc, {"n": int, "lambda": float, "gamma": float, "curve": dict,
-                       "w_hh": list, "w_sh": list}, path)
-    check_fields(doc["curve"], {"a": float, "b": float, "m": float}, f"{path}: 'curve'")
-    n, vectors = doc["n"], []
-    for key in ("w_hh", "w_sh"):
-        try:
-            vector = np.asarray(doc[key], dtype=float)
-        except (TypeError, ValueError):
-            vector = None
-        if vector is None or not np.isfinite(vector).all():
-            raise ValueError(f"{path}: {key!r} is not a list of finite numbers")
-        if vector.shape != (n,):
-            raise ValueError(f"{path}: {key!r} has shape {vector.shape}, but n is {n!r}")
-        vectors.append(vector)
+    check_fields(doc, {"n": int, "lambda": float, "gamma": float, "curve": dict}, path)
+    c = doc["curve"]
+    check_fields(c, {"a": float, "b": float, "m": float}, f"{path}: 'curve'")
     try:
-        curve = TuningCurve(a=doc["curve"]["a"], m=doc["curve"]["m"],
-                            n=n, b=doc["curve"]["b"])
+        curve = TuningCurve(a=c["a"], m=c["m"], n=doc["n"], b=c["b"])
+        return build_kernel(curve, lam=doc["lambda"], gamma=doc["gamma"])
     except ValueError as exc:
-        raise ValueError(f"{path}: 'curve': {exc}") from None
-    return WeightKernel(
-        h_to_h=vectors[0],
-        s_to_h=vectors[1],
-        gamma=doc["gamma"],
-        lam=doc["lambda"],
-        curve=curve,
-    )
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def kernel_hash(kernel: WeightKernel) -> str:
     """Stable hash of all a kernel depends on; pairs calibrations with kernels."""
-    payload = json.dumps(_kernel_document(kernel), sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()
+    # The built weights are hashed beside their parameters: a change to the
+    # synthesis code changes the weights, and that must void the
+    # calibrations made with the old ones.
+    doc = {**_kernel_document(kernel),
+           "w_hh": kernel.h_to_h.tolist(), "w_sh": kernel.s_to_h.tolist()}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()

@@ -78,9 +78,14 @@ def test_zero_gamma_gives_inert_shift_weights():
     assert np.all(k.s_to_h == 0.0)
 
 
-def test_negative_gamma_rejected():
-    with pytest.raises(ValueError):
-        build_kernel(gamma=-0.1)
+@pytest.mark.parametrize("name, value", [
+    ("gamma", -0.1), ("gamma", math.nan), ("gamma", math.inf),
+    ("lam", -1.0), ("lam", 0.0), ("lam", math.nan), ("lam", math.inf),
+])
+def test_negative_gamma_rejected(name, value):
+    key = "lambda" if name == "lam" else name
+    with pytest.raises(ValueError, match=f"^'{key}': "):
+        build_kernel(**{name: value})
 
 
 @pytest.mark.parametrize("broken", ["h_to_h", "s_to_h"])
@@ -128,6 +133,41 @@ def test_save_load_round_trip(tmp_path, kernel):
     assert loaded.gamma == kernel.gamma
     assert loaded.lam == kernel.lam
     assert kernel_hash(loaded) == kernel_hash(kernel)
+    assert set(json.loads(path.read_text())) == {"version", "n", "lambda", "gamma", "curve"}
+
+
+def _document_with_weights(kernel):
+    """A kernel file in the layout older versions wrote: the parameters
+    plus both weight vectors."""
+    return {"version": 2, "n": kernel.n, "lambda": kernel.lam, "gamma": kernel.gamma,
+            "curve": {"a": kernel.curve.a, "b": kernel.curve.b, "m": kernel.curve.m},
+            "w_hh": kernel.h_to_h.tolist(), "w_sh": kernel.s_to_h.tolist()}
+
+
+@pytest.mark.parametrize("key, name, value", [("gamma", "gamma", 0.7),
+                                              ("lambda", "lam", 1000.0)],
+                         ids=["gamma", "lambda"])
+def test_load_builds_the_weights_of_edited_parameters(tmp_path, kernel, key, name, value):
+    # A file that still carries the weights of other parameters loads the
+    # weights of its own parameters.
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps({**_document_with_weights(kernel), key: value}))
+    loaded, expected = load_kernel(path), build_kernel(**{name: value})
+    np.testing.assert_array_equal(loaded.h_to_h, expected.h_to_h)
+    np.testing.assert_array_equal(loaded.s_to_h, expected.s_to_h)
+    assert kernel_hash(loaded) == kernel_hash(expected)
+
+
+def test_file_with_weight_vectors_loads_same_kernel_and_hash(tmp_path, kernel):
+    # Files written before kernel files held only parameters carry the
+    # weight vectors too; they load to the same kernel and hash, so the
+    # calibrations made with them stay valid.
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(_document_with_weights(kernel), indent=1))
+    loaded = load_kernel(path)
+    np.testing.assert_array_equal(loaded.h_to_h, kernel.h_to_h)
+    np.testing.assert_array_equal(loaded.s_to_h, kernel.s_to_h)
+    assert kernel_hash(loaded) == kernel_hash(kernel)
 
 
 def test_save_is_deterministic(tmp_path, kernel):
@@ -151,18 +191,8 @@ def test_load_rejects_unknown_version(tmp_path, kernel, version):
 
 @pytest.mark.parametrize("edit, message", [
     pytest.param(lambda d: [d], r"expected a JSON object, got list", id="array"),
-    pytest.param(lambda d: {k: v for k, v in d.items() if k != "w_sh"},
-                 r"missing 'w_sh'", id="no-w_sh"),
     pytest.param(lambda d: {**d, "curve": {"a": 8.95, "m": 5.29}},
                  r"'curve': missing 'b'", id="no-curve-b"),
-    pytest.param(lambda d: {**d, "n": 99},
-                 r"'w_hh' has shape \(100,\), but n is 99", id="n-mismatch"),
-    pytest.param(lambda d: {**d, "w_sh": d["w_sh"][:-1]},
-                 r"'w_sh' has shape \(99,\), but n is 100", id="short-w_sh"),
-    pytest.param(lambda d: {**d, "w_hh": ["x"] * 100},
-                 r"'w_hh' is not a list of finite numbers", id="non-numeric"),
-    pytest.param(lambda d: {**d, "w_sh": [None] * 100},
-                 r"'w_sh' is not a list of finite numbers", id="null-values"),
     pytest.param(lambda d: {**d, "curve": {**d["curve"], "a": "x"}},
                  r"'curve': 'a' must be of type float, got 'x'", id="string-curve-a"),
     pytest.param(lambda d: {**d, "gamma": None},
@@ -172,6 +202,12 @@ def test_load_rejects_unknown_version(tmp_path, kernel, version):
     pytest.param(lambda d: {**d, "curve": {**d["curve"], "a": -1.0}},
                  r"'curve': tuning curve must stay strictly inside \(0, r_max\)",
                  id="negative-curve-a"),
+    pytest.param(lambda d: {**d, "n": 2},
+                 r"'n': need at least 4 neurons, got 2", id="too-few-n"),
+    pytest.param(lambda d: {**d, "gamma": -1.0},
+                 r"'gamma': must be finite and >= 0, got -1.0", id="negative-gamma"),
+    pytest.param(lambda d: {**d, "lambda": -1.0},
+                 r"'lambda': must be positive and finite, got -1.0", id="negative-lambda"),
 ])
 def test_load_rejects_malformed_file(tmp_path, kernel, edit, message):
     path = tmp_path / "kernel.json"
