@@ -170,11 +170,17 @@ def save_calibration(gain: StimulusGain, path):
 def load_calibration(path, kernel: WeightKernel) -> StimulusGain:
     """Load a calibration file made for ``kernel``, refusing one built for a
     different kernel; a malformed one raises ValueError naming the file and
-    the missing or mistyped keys before any hash is compared."""
+    the missing, mistyped or out-of-range keys before any hash is compared."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     check_fields(doc, {"alpha": float, "fit_r2": float, "max_velocity": float,
                        "gamma": float, "kernel_hash": str}, path)
+    # fit_gain writes alpha = 1/slope > 0 and a max_velocity of 0 or more.
+    if doc["alpha"] <= 0.0:
+        raise ValueError(f"{path}: 'alpha' must be positive, got {doc['alpha']!r}")
+    if doc["max_velocity"] < 0.0:
+        raise ValueError(f"{path}: 'max_velocity' must be >= 0, "
+                         f"got {doc['max_velocity']!r}")
     gain = StimulusGain(alpha=doc["alpha"], fit_r2=doc["fit_r2"],
                         max_velocity=doc["max_velocity"], gamma=doc["gamma"],
                         kernel_hash=doc["kernel_hash"])

@@ -1,20 +1,17 @@
 """Command-line entry point.
 
-Subcommands: synthesize, calibrate, track, bench, generate. Options can
-come from a JSON config document (--config or the HDCNAV_CONFIG
-environment variable). A flag beats the config and the config beats the
-defaults: ``main`` parses each config value like its flag's text and
-installs it as a default of the subcommand; a JSON null means unset. Only
-the options that are set reach the library, so its defaults are the only
-defaults. Exit codes: 0 success, 1 validation/invariant failure, 2 I/O
-error.
+Subcommands: synthesize, calibrate, track, bench, generate. Arguments
+can also come from a file named as ``@FILE``, one argument per line;
+argparse inserts them where the file is named, so a later flag overrides
+them. Only the options that are set reach the library, so its defaults
+are the only defaults. Exit codes: 0 success, 1 validation/invariant
+failure, 2 I/O or usage error.
 """
 
 import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -25,8 +22,6 @@ from .kernel import TuningCurve, build_kernel, kernel_hash, load_kernel, save_ke
 from .io import (SyntheticProfile, generate, read_csv, read_oxts, write_csv,
                  OxtsLayout)
 from .tracker import benchmark, track
-
-CONFIG_ENV_VAR = "HDCNAV_CONFIG"
 
 # Table-stakes reference for the latency report: mean per-frame compute
 # time measured on a Raspberry Pi 3 in the original evaluation.
@@ -39,33 +34,6 @@ EXIT_IO = 2
 
 class CliError(Exception):
     """Validation failure that should terminate with exit code 1."""
-
-
-def _load_config(path):
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise CliError(f"{path}: config must be a JSON object")
-    return doc
-
-
-def _apply_config(parser, command, config):
-    """Install the config's values as ``command``'s defaults, each parsed
-    like its flag's text; null values and keys of no option are skipped."""
-    # argparse keeps a parser's options, and the subcommands, only in _actions.
-    subparser = next(a for a in parser._actions if a.dest == "command").choices[command]
-    defaults = {}
-    for action in subparser._actions:
-        value = config.get(action.dest)
-        if value is None or action.default is argparse.SUPPRESS:
-            continue
-        try:
-            defaults[action.dest] = (action.type or str)(str(value))
-        except ValueError:
-            raise CliError(f"config {action.dest!r}: cannot parse {value!r}") from None
-    subparser.set_defaults(**defaults)
 
 
 def _given(args, *names):
@@ -173,13 +141,12 @@ def cmd_generate(args):
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="hdcnav",
+        prog="hdcnav", fromfile_prefix_chars="@",
         description="Head-direction ring attractor: kernel synthesis, "
-                    "calibration, trajectory replay, and benchmarking.")
+                    "calibration, trajectory replay, and benchmarking. "
+                    "@FILE reads arguments from FILE, one per line "
+                    "(e.g. --omega-max=0.25).")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR),
-                        help="JSON config file (flags override); "
-                        f"defaults to ${CONFIG_ENV_VAR} if set")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synthesize", help="build and save a weight kernel")
@@ -236,11 +203,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config(parser, args.command, _load_config(args.config))
-        args = parser.parse_args(argv)
         return args.func(args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -58,12 +58,22 @@ class TuningCurve:
     def __post_init__(self):
         if self.n < 4:
             raise ValueError(f"'n': need at least 4 neurons, got {self.n}")
-        if self.b is None:
-            pinned = ((1.0 - _PEAK_MARGIN) * NEURON.r_max - self.a) / math.exp(self.m)
-            object.__setattr__(self, "b", pinned)
-        peak = self.a + self.b * math.exp(self.m)
-        if not (self.a > 0.0 and peak < NEURON.r_max):  # NaN fails too
-            raise ValueError("'curve': tuning curve must stay strictly inside (0, r_max)")
+        # With a, b and m positive the profile falls from its peak
+        # a + b*e^m at dtheta = 0 to a + b*e^-m > a at pi, so these checks
+        # bound all of it. NaN fails each comparison.
+        if self.a > 0.0 and self.m > 0.0:
+            try:
+                scale = math.exp(self.m)
+            except OverflowError:  # no b > 0 keeps such a peak below r_max
+                scale = math.inf
+            if self.b is None:
+                pinned = ((1.0 - _PEAK_MARGIN) * NEURON.r_max - self.a) / scale
+                object.__setattr__(self, "b", pinned)
+            if self.b > 0.0 and self.a + self.b * scale < NEURON.r_max:
+                return
+        raise ValueError("'curve': tuning curve must stay strictly inside (0, r_max) "
+                         "with a peak: need a, b, m > 0 and a + b*e^m < r_max, got "
+                         f"a={self.a}, b={self.b}, m={self.m}")
 
     @property
     def preferred_directions(self) -> np.ndarray:

@@ -167,6 +167,12 @@ def test_load_refuses_mismatched_kernel(tmp_path, gain):
                  "'fit_r2' must be of type float, got nan", id="nan-fit_r2"),
     pytest.param(lambda d: {**d, "kernel_hash": 5},
                  "'kernel_hash' must be of type str, got 5", id="int-kernel_hash"),
+    pytest.param(lambda d: {**d, "alpha": 0.0},
+                 "'alpha' must be positive, got 0.0", id="zero-alpha"),
+    pytest.param(lambda d: {**d, "alpha": -d["alpha"]},
+                 "'alpha' must be positive, got -0.0877", id="negative-alpha"),
+    pytest.param(lambda d: {**d, "max_velocity": -1.0},
+                 "'max_velocity' must be >= 0, got -1.0", id="negative-max_velocity"),
 ])
 def test_load_rejects_malformed_file(tmp_path, kernel, gain, edit, message):
     path = tmp_path / "calibration.json"

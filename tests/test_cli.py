@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +146,9 @@ def test_missing_file_is_io_error(tmp_path):
                  "--calibration", str(tmp_path / "nope2.json"),
                  "--trajectory", str(tmp_path / "nope.csv")])
     assert code == 2
+    with pytest.raises(SystemExit) as info:  # a missing argument file
+        main(["generate", f"@{tmp_path / 'nope.args'}"])
+    assert info.value.code == 2
 
 
 def test_invalid_arguments_fail(tmp_path, kernel_file, calibration_file):
@@ -160,37 +164,36 @@ def test_invalid_arguments_fail(tmp_path, kernel_file, calibration_file):
     assert not (tmp_path / "noise.csv").exists()
 
 
-def test_config_file_and_flag_override(tmp_path, monkeypatch):
-    config = tmp_path / "config.json"
-    out_from_config = tmp_path / "from_config.csv"
-    config.write_text(json.dumps({
-        "kind": "constant_rotation",
-        "omega_max": math.radians(10),
-        "duration": 1.0,
-        "out": str(out_from_config),
-    }))
-    assert main(["--config", str(config), "generate"]) == 0
-    records = read_csv(out_from_config)
+def test_argument_file_and_flag_override(tmp_path):
+    args = tmp_path / "generate.args"
+    out_from_file = tmp_path / "from_file.csv"
+    args.write_text("--kind=constant_rotation\n"
+                    f"--omega-max={math.radians(10)}\n"
+                    "--duration\n1.0\n"
+                    f"--out={out_from_file}\n")
+    assert main(["generate", f"@{args}"]) == 0
+    records = read_csv(out_from_file)
     assert records[0].omega == pytest.approx(math.radians(10))
 
-    # flags beat config
+    # a flag after the file beats it
     out_flag = tmp_path / "from_flag.csv"
-    assert main(["--config", str(config), "generate",
+    assert main(["generate", f"@{args}",
                  "--out", str(out_flag),
                  "--omega-max", str(math.radians(5))]) == 0
     assert read_csv(out_flag)[0].omega == pytest.approx(math.radians(5))
 
-    # env var supplies the config path when --config is absent
-    out_env = tmp_path / "from_env.csv"
-    config.write_text(json.dumps({
-        "kind": "constant_rotation",
-        "omega_max": math.radians(10),
-        "duration": 1.0,
-        "out": str(out_env),
-    }))
-    monkeypatch.setenv("HDCNAV_CONFIG", str(config))
-    assert main(["generate"]) == 0
-    assert out_env.exists()
+
+def test_argument_file_applies_only_where_named(tmp_path, kernel_file):
+    # A generate file named after calibrate is a usage error: --kind is no
+    # calibrate flag, so its --out never overwrites the kernel.
+    kernel = tmp_path / "kernel.json"
+    kernel.write_bytes(Path(kernel_file).read_bytes())
+    args = tmp_path / "generate.args"
+    args.write_text(f"--kind=constant_rotation\n--duration=1.0\n--out={kernel}\n")
+    with pytest.raises(SystemExit) as info:
+        main(["calibrate", "--kernel", str(kernel), f"@{args}"])
+    assert info.value.code == 2
+    assert kernel.read_bytes() == Path(kernel_file).read_bytes()
 
 
 def test_track_refuses_single_sample(tmp_path, kernel_file, calibration_file,
@@ -226,14 +229,7 @@ def test_bench_reads_oxts_with_yaw_column(tmp_path, kernel_file,
 def test_synthesize_without_options_builds_default_kernel(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["synthesize"]) == 0
-    written = (tmp_path / "kernel.json").read_bytes()
     assert kernel_hash(load_kernel("kernel.json")) == kernel_hash(build_kernel())
-    # null config values are unset, so they change nothing
-    (tmp_path / "config.json").write_text(json.dumps(
-        {"b": None, "gamma": None, "out": None}))
-    (tmp_path / "kernel.json").unlink()
-    assert main(["--config", "config.json", "synthesize"]) == 0
-    assert (tmp_path / "kernel.json").read_bytes() == written
 
 
 def test_generate_without_options_writes_default_profile(tmp_path, monkeypatch):
@@ -265,7 +261,7 @@ def test_track_refuses_calibration_without_alpha(tmp_path, kernel_file,
 
 
 # (subcommand, its other arguments, output flag, option, value, other value):
-# the option set by a flag and by a config value must write the same output.
+# the option set by a flag and by an argument file must write the same output.
 _PARITY_CASES = [
     ("synthesize", [], "--out", "b", 0.3, 0.32),
     ("synthesize", [], "--out", "n", 64, 48),
@@ -280,34 +276,33 @@ _PARITY_CASES = [
 
 @pytest.mark.parametrize("command, extra, out_flag, key, value, other", _PARITY_CASES,
                          ids=[f"{c[0]}-{c[3]}" for c in _PARITY_CASES])
-def test_config_value_matches_flag(tmp_path, monkeypatch, kernel_file,
-                                   calibration_file, trajectory_file, command,
-                                   extra, out_flag, key, value, other):
+def test_argument_file_value_matches_flag(tmp_path, monkeypatch, kernel_file,
+                                          calibration_file, trajectory_file, command,
+                                          extra, out_flag, key, value, other):
     monkeypatch.chdir(tmp_path)  # `track` also writes its report to report.json
     files = {"kernel": kernel_file, "calibration": calibration_file,
              "trajectory": trajectory_file}
     base = [command] + [arg.format(**files) for arg in extra]
-    flag = ["--" + key.replace("_", "-"), str(value)]
+    option = "--" + key.replace("_", "-")
 
-    def run(name, config=None, flags=()):
+    def run(name, file_value=None, flags=()):
         out = tmp_path / name
-        argv = base + list(flags) + [out_flag, str(out)]
-        if config is not None:
-            path = tmp_path / f"{name}.config.json"
-            path.write_text(json.dumps(config))
-            argv = ["--config", str(path)] + argv
-        code = main(argv)
+        argv = list(base)
+        if file_value is not None:
+            path = tmp_path / f"{name}.args"
+            path.write_text(f"{option}={file_value}\n")
+            argv.append(f"@{path}")
+        code = main(argv + list(flags) + [out_flag, str(out)])
         if code != 0:
             return code
         if command == "bench":  # everything but the frame count is a timing
             return json.loads(out.read_text())["frame_count"]
         return out.read_bytes()
 
-    by_flag = run("flag", flags=flag)
-    unset = run("unset")
-    assert by_flag != unset
-    assert run("number", {key: value}) == by_flag
-    assert run("string", {key: str(value)}) == by_flag
-    assert run("null", {key: None}) == unset
-    assert run("override", {key: other}, flags=flag) == by_flag
-    assert run("refused", {key: "abc"}) == 1
+    by_flag = run("flag", flags=[option, str(value)])
+    assert by_flag != run("unset")
+    assert run("file", value) == by_flag
+    assert run("override", other, flags=[option, str(value)]) == by_flag
+    with pytest.raises(SystemExit) as info:
+        run("refused", "abc")
+    assert info.value.code == 2

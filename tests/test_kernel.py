@@ -116,6 +116,14 @@ def test_tuning_curve_validation():
         TuningCurve(b=1.0)  # peak above r_max
     with pytest.raises(ValueError):
         TuningCurve(n=2)
+    # Every profile value counts, not only the one at dtheta = 0: e^m out of
+    # the float range, a negative m (peak at pi, and for m = -1000 no pinned
+    # b at all), a negative b (values below 0), and a flat profile.
+    for options in ({"m": 1000.0}, {"m": 1000.0, "b": 1e-300}, {"m": -1000.0},
+                    {"m": -5.29}, {"b": -0.3}, {"m": 0.0}, {"b": 0.0},
+                    {"m": math.inf}, {"m": math.nan}):
+        with pytest.raises(ValueError, match="'curve'"):
+            TuningCurve(**options)
 
 
 def test_tuning_curve_even_symmetry():
@@ -202,6 +210,9 @@ def test_load_rejects_unknown_version(tmp_path, kernel, version):
     pytest.param(lambda d: {**d, "curve": {**d["curve"], "a": -1.0}},
                  r"'curve': tuning curve must stay strictly inside \(0, r_max\)",
                  id="negative-curve-a"),
+    pytest.param(lambda d: {**d, "curve": {**d["curve"], "m": 1000.0}},
+                 r"'curve': tuning curve must stay strictly inside \(0, r_max\)",
+                 id="huge-curve-m"),
     pytest.param(lambda d: {**d, "n": 2},
                  r"'n': need at least 4 neurons, got 2", id="too-few-n"),
     pytest.param(lambda d: {**d, "gamma": -1.0},
