@@ -51,7 +51,12 @@ class CalibrationMismatchError(RuntimeError):
 class SweepSample:
     stimulus: float
     velocity: float       # measured bump velocity [rad/s]; NaN if it collapsed
-    degenerate: bool = False   # collapsed, or a positive level moved it <= 0
+
+    @property
+    def degenerate(self) -> bool:
+        """The bump collapsed, or a positive level did not move it forward."""
+        # NaN fails v > 0, so a collapsed positive level is caught here too.
+        return math.isnan(self.velocity) or (self.stimulus > 0 and not self.velocity > 0)
 
 
 @dataclass(frozen=True)
@@ -103,9 +108,7 @@ def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
     # A collapsed column's NaN headings make its slope NaN and no other's:
     # unwrap and the least-squares fit act on each column alone.
     velocities = np.polyfit(times[half:], headings[half:], 1)[0]
-    # NaN fails v > 0, so a collapsed positive level is caught here too.
-    return [SweepSample(stimulus=s, velocity=v,
-                        degenerate=math.isnan(v) or (s > 0 and not v > 0))
+    return [SweepSample(stimulus=s, velocity=v)
             for s, v in zip(levels.tolist(), velocities.tolist())]
 
 

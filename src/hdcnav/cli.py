@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .calibration import fit_gain, load_calibration, save_calibration, sweep
 from .kernel import TuningCurve, build_kernel, kernel_hash, load_kernel, save_kernel
+from .network import DegenerateActivityError, HDCNetwork
 from .io import (SyntheticProfile, generate, read_csv, read_oxts, write_csv,
                  OxtsLayout)
 from .tracker import benchmark, track
@@ -61,7 +62,12 @@ def _load_replay(args):
 def cmd_synthesize(args):
     curve = TuningCurve(**_given(args, "a", "m", "n", "b"))
     kernel = build_kernel(curve, **_given(args, "lam", "gamma"))
-    kernel.validate()
+    net = HDCNetwork(kernel)
+    net.init_at(0.0)
+    try:
+        net.decode()
+    except DegenerateActivityError as exc:
+        raise CliError(f"the kernel cannot hold an activity bump ({exc}): {kernel}") from None
     save_kernel(kernel, args.out)
     w, wp = kernel.h_to_h, kernel.s_to_h
     print(f"kernel n={kernel.n} lambda={kernel.lam:g} gamma={kernel.gamma:g} "

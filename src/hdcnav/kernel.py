@@ -2,9 +2,9 @@
 
 The recurrent kernel is obtained by regularized deconvolution of the
 target tuning profile in the Fourier domain; the shift-layer kernels are
-its spectral derivative scaled by the shift gain. A kernel file holds
-only these synthesis parameters (n, lambda, gamma and the tuning curve);
-loading one builds the weights again.
+its spectral derivative scaled by the shift gain. A kernel is its
+synthesis parameters (n, lambda, gamma and the tuning curve), in memory
+and in a file: ``WeightKernel`` builds the weights from them.
 """
 
 import hashlib
@@ -87,35 +87,40 @@ class TuningCurve:
 
 @dataclass(frozen=True)
 class WeightKernel:
-    """Distance-indexed synaptic weight vectors of the ring network.
+    """Synaptic weights of the ring network, built from the synthesis
+    parameters that fix them: the tuning ``curve``, the ridge parameter
+    ``lam`` and the shift gain ``gamma``. A kernel compares and hashes by
+    these three; its weight vectors are read-only.
 
     ``h_to_h`` is the recurrent kernel W. ``s_to_h`` is gamma * W', the
-    shift-left layer's projection onto the heading layer; the shift-right
-    layer projects through its negation, and both shift layers receive
-    W / 2 from the heading layer.
+    shift-left layer's projection onto the heading layer, which moves the
+    bump counterclockwise (toward larger headings); the shift-right layer
+    projects through its negation, and both shift layers receive W / 2.
 
     Index ``d`` holds the weight between cells ``d`` steps apart
     (counterclockwise); index 0 is the self-distance and is skipped by the
     network when summing inputs.
     """
 
-    h_to_h: np.ndarray
-    s_to_h: np.ndarray
-    gamma: float
-    lam: float
     curve: TuningCurve
+    lam: float
+    gamma: float
+    h_to_h: np.ndarray = field(init=False, compare=False, repr=False)
+    s_to_h: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if not (self.lam > 0.0 and math.isfinite(self.lam)):
+            raise ValueError(f"'lambda': must be positive and finite, got {self.lam}")
+        if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
+            raise ValueError(f"'gamma': must be finite and >= 0, got {self.gamma}")
+        w = synthesize_recurrent(self.curve, self.lam)
+        for name, weights in (("h_to_h", w), ("s_to_h", self.gamma * derivative_kernel(w))):
+            weights.flags.writeable = False
+            object.__setattr__(self, name, weights)
 
     @property
     def n(self) -> int:
-        return len(self.h_to_h)
-
-    def validate(self):
-        """Assert the reflection symmetries the synthesis guarantees."""
-        w, wp = self.h_to_h, self.s_to_h
-        if not np.allclose(w[1:], w[1:][::-1], atol=1e-9):
-            raise ValueError("recurrent kernel is not even under reflection")
-        if not np.allclose(wp[1:], -wp[1:][::-1], atol=1e-9):
-            raise ValueError("shift kernel is not odd under reflection")
+        return self.curve.n
 
 
 def target_profile(curve: TuningCurve) -> np.ndarray:
@@ -161,24 +166,8 @@ def derivative_kernel(w: np.ndarray) -> np.ndarray:
 def build_kernel(curve: TuningCurve = TuningCurve(),
                  lam: float = DEFAULT_LAMBDA,
                  gamma: float = DEFAULT_GAMMA) -> WeightKernel:
-    """Assemble the recurrent and shift kernels of the network.
-
-    The shift kernel ``gamma * W'`` moves the activity peak
-    counterclockwise (toward larger headings) when the shift-left layer is
-    stimulated; the shift-right layer projects through its negation.
-    """
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError(f"'lambda': must be positive and finite, got {lam}")
-    if not (gamma >= 0.0 and math.isfinite(gamma)):
-        raise ValueError(f"'gamma': must be finite and >= 0, got {gamma}")
-    w_hh = synthesize_recurrent(curve, lam)
-    return WeightKernel(
-        h_to_h=w_hh,
-        s_to_h=gamma * derivative_kernel(w_hh),
-        gamma=gamma,
-        lam=lam,
-        curve=curve,
-    )
+    """The kernel of ``curve``, ``lam`` and ``gamma``, the home of their defaults."""
+    return WeightKernel(curve, lam, gamma)
 
 
 _KERNEL_FORMAT_VERSION = 2

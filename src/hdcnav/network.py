@@ -85,7 +85,6 @@ class HDCNetwork:
     """
 
     def __init__(self, kernel: WeightKernel, dt: float = DEFAULT_DT):
-        kernel.validate()
         if not 0.0 < dt <= NEURON.max_dt:
             raise ValueError(f"dt must be in (0, {NEURON.max_dt}], got {dt}")
         self.kernel = kernel
@@ -93,7 +92,7 @@ class HDCNetwork:
         self.dt = dt
         self._recurrent = _projection(kernel.h_to_h)
         self._shift = _projection(kernel.s_to_h)
-        theta = 2.0 * np.pi * np.arange(kernel.n) / kernel.n
+        theta = kernel.curve.preferred_directions
         self._basis = np.stack((np.sin(theta), np.cos(theta)))
         self._min_magnitude = _DECODE_MAGNITUDE_FRACTION * kernel.n * NEURON.r_max
         self.rates = np.zeros((3, kernel.n))

@@ -51,7 +51,8 @@ def test_fit_requires_enough_samples(kernel):
 def test_fit_skips_degenerate_samples(kernel):
     samples = [SweepSample(s, 12.0 * s) for s in
                (0.01, 0.02, 0.03, 0.04, 0.05)]
-    samples.append(SweepSample(0.5, float("nan"), degenerate=True))
+    # A collapsed level and a positive level that ran the bump backwards.
+    samples += [SweepSample(0.5, float("nan")), SweepSample(0.06, -0.1)]
     gain = fit_gain(samples, kernel)
     assert gain.alpha == pytest.approx(1.0 / 12.0, rel=1e-12)
 

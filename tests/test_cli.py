@@ -42,6 +42,15 @@ def test_synthesize_defaults(tmp_path, capsys):
     assert "symmetry" in capsys.readouterr().out
 
 
+def test_synthesize_refuses_kernel_without_bump(tmp_path, capsys):
+    # The tuning curve is in range, but no bump settles on its kernel.
+    out = tmp_path / "kernel.json"
+    assert main(["synthesize", "--m", "50", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "cannot hold an activity bump" in err and "m=50" in err
+
+
 def test_synthesize_is_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["synthesize", "--out", str(a)]) == 0

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdcnav.kernel import (DEFAULT_GAMMA, DEFAULT_LAMBDA, TuningCurve,
                            WeightKernel, build_kernel, derivative_kernel,
@@ -65,7 +66,6 @@ def test_derivative_is_odd_and_zero_sum():
 
 
 def test_build_kernel_structure(kernel):
-    kernel.validate()
     assert kernel.n == 100
     assert kernel.lam == DEFAULT_LAMBDA
     assert kernel.gamma == DEFAULT_GAMMA
@@ -88,15 +88,22 @@ def test_negative_gamma_rejected(name, value):
         build_kernel(**{name: value})
 
 
-@pytest.mark.parametrize("broken", ["h_to_h", "s_to_h"])
-def test_validate_catches_broken_symmetry(kernel, broken):
-    weights = {"h_to_h": kernel.h_to_h.copy(), "s_to_h": kernel.s_to_h.copy()}
-    # Perturbing one side of the ring breaks the even (W) or odd (W') symmetry.
-    weights[broken][1] += 0.01 * np.max(np.abs(weights[broken]))
-    bad = WeightKernel(**weights, gamma=kernel.gamma, lam=kernel.lam,
-                       curve=kernel.curve)
-    with pytest.raises(ValueError, match="even" if broken == "h_to_h" else "odd"):
-        bad.validate()
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 300), st.floats(0.5, 20.0), st.floats(0.5, 40.0),
+       st.floats(1.0, 1e6), st.floats(0.0, 10.0))
+def test_synthesis_gives_even_recurrent_and_odd_shift_weights(n, m, a, lam, gamma):
+    kernel = WeightKernel(TuningCurve(a=a, m=m, n=n), lam, gamma)
+    w, wp = kernel.h_to_h, kernel.s_to_h
+    assert np.max(np.abs(w[1:] - w[1:][::-1])) <= 1e-9 * np.max(np.abs(w))
+    assert np.max(np.abs(wp[1:] + wp[1:][::-1])) <= 1e-9 * np.max(np.abs(wp))
+
+
+def test_kernels_compare_by_parameters_and_weights_are_read_only(kernel):
+    assert kernel == WeightKernel(TuningCurve(), DEFAULT_LAMBDA, DEFAULT_GAMMA)
+    assert build_kernel(gamma=2.8) != kernel
+    for weights in (kernel.h_to_h, kernel.s_to_h):
+        with pytest.raises(ValueError, match="read-only"):
+            weights[1] = 0.0
 
 
 def test_default_amplitude_near_published_value():
@@ -140,6 +147,7 @@ def test_save_load_round_trip(tmp_path, kernel):
     np.testing.assert_array_equal(loaded.s_to_h, kernel.s_to_h)
     assert loaded.gamma == kernel.gamma
     assert loaded.lam == kernel.lam
+    assert loaded == kernel and hash(loaded) == hash(kernel)
     assert kernel_hash(loaded) == kernel_hash(kernel)
     assert set(json.loads(path.read_text())) == {"version", "n", "lambda", "gamma", "curve"}
 
