@@ -6,9 +6,10 @@ least-squares line through the origin is then inverted to obtain the
 stimulus gain used by the tracker. All levels run together as the
 columns of one batched network.
 
-A calibration belongs to one weight kernel: ``fit_gain`` and
-``load_calibration`` both take it, the file records its gamma and hash,
-and a load refuses a file made for another kernel.
+A calibration belongs to one weight kernel and one Euler step:
+``fit_gain`` and ``load_calibration`` both take the kernel, the file
+records its gamma and hash and the step ``dt`` the sweep ran at, and a
+load refuses a file made for another kernel or another step.
 """
 
 import json
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import WeightKernel, check_fields, kernel_hash
-from .network import HDCNetwork, TurningStimulus
+from .network import DEFAULT_DT, HDCNetwork, TurningStimulus
 
 __all__ = ["StimulusGain", "SweepSample", "sweep", "fit_gain",
            "save_calibration", "load_calibration", "CalibrationMismatchError",
@@ -38,13 +39,16 @@ _LINEAR_RESIDUAL_FRACTION = 0.05
 _MIN_FIT_R2 = 0.99
 _MIN_FIT_SAMPLES = 5
 
+# The step of calibration files written before they recorded one.
+_UNRECORDED_DT = 0.0005
+
 
 class GainFitError(RuntimeError):
     """Raised when the sweep data does not follow a linear law."""
 
 
 class CalibrationMismatchError(RuntimeError):
-    """Raised when a calibration is paired with a different kernel."""
+    """Raised when a calibration is paired with a different kernel or step."""
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,7 @@ class StimulusGain:
     max_velocity: float   # largest validated angular speed [rad/s]
     gamma: float
     kernel_hash: str
+    dt: float = DEFAULT_DT   # Euler step the sweep ran at [s]
 
     def stimulus_for(self, omega: float) -> float:
         return self.alpha * abs(omega)
@@ -114,7 +119,8 @@ def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
 
 def fit_gain(samples, kernel: WeightKernel) -> StimulusGain:
     """Least-squares line through the origin, inverted to the stimulus gain
-    of ``kernel``, whose gamma and hash the result carries.
+    of ``kernel``, whose gamma and hash the result carries, with the step
+    ``DEFAULT_DT`` that ``sweep`` runs at.
 
     ``samples`` are SweepSamples. Degenerate levels, levels that are not
     positive and non-finite velocities are excluded, and every error names
@@ -154,6 +160,7 @@ def fit_gain(samples, kernel: WeightKernel) -> StimulusGain:
         max_velocity=max_velocity,
         gamma=kernel.gamma,
         kernel_hash=kernel_hash(kernel),
+        dt=DEFAULT_DT,
     )
 
 
@@ -164,6 +171,7 @@ def save_calibration(gain: StimulusGain, path):
         "max_velocity": gain.max_velocity,
         "gamma": gain.gamma,
         "kernel_hash": gain.kernel_hash,
+        "dt": gain.dt,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
@@ -171,9 +179,11 @@ def save_calibration(gain: StimulusGain, path):
 
 
 def load_calibration(path, kernel: WeightKernel) -> StimulusGain:
-    """Load a calibration file made for ``kernel``, refusing one built for a
-    different kernel; a malformed one raises ValueError naming the file and
-    the missing, mistyped or out-of-range keys before any hash is compared."""
+    """Load a calibration file made for ``kernel`` at the step
+    ``DEFAULT_DT``, refusing one built for a different kernel or step (a
+    file without ``dt`` was made at 0.5 ms); a malformed one raises
+    ValueError naming the file and the missing, mistyped or out-of-range
+    keys before any step or hash is compared."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     check_fields(doc, {"alpha": float, "fit_r2": float, "max_velocity": float,
@@ -184,9 +194,16 @@ def load_calibration(path, kernel: WeightKernel) -> StimulusGain:
     if doc["max_velocity"] < 0.0:
         raise ValueError(f"{path}: 'max_velocity' must be >= 0, "
                          f"got {doc['max_velocity']!r}")
+    dt = doc.get("dt", _UNRECORDED_DT)
+    check_fields({"dt": dt}, {"dt": float}, path)
+    if dt != DEFAULT_DT:
+        raise CalibrationMismatchError(
+            f"{path}: calibration was made at an Euler step of {dt * 1e3:g} ms, "
+            f"but the network steps at {DEFAULT_DT * 1e3:g} ms; "
+            "re-run `hdcnav calibrate`")
     gain = StimulusGain(alpha=doc["alpha"], fit_r2=doc["fit_r2"],
                         max_velocity=doc["max_velocity"], gamma=doc["gamma"],
-                        kernel_hash=doc["kernel_hash"])
+                        kernel_hash=doc["kernel_hash"], dt=dt)
     if gain.kernel_hash != kernel_hash(kernel):
         raise CalibrationMismatchError(
             "calibration was produced for a different kernel "

@@ -174,13 +174,16 @@ _KERNEL_FORMAT_VERSION = 2
 
 
 def _kernel_document(kernel: WeightKernel) -> dict:
-    """The synthesis parameters, all a kernel file holds."""
+    """The synthesis parameters, all a kernel file holds. The real-valued
+    ones are written as floats, so that a kernel given ``lam=25824`` hashes
+    as the equal kernel given ``lam=25824.0``."""
+    curve = kernel.curve
     return {
         "version": _KERNEL_FORMAT_VERSION,
         "n": kernel.n,
-        "lambda": kernel.lam,
-        "gamma": kernel.gamma,
-        "curve": {"a": kernel.curve.a, "b": kernel.curve.b, "m": kernel.curve.m},
+        "lambda": float(kernel.lam),
+        "gamma": float(kernel.gamma),
+        "curve": {"a": float(curve.a), "b": float(curve.b), "m": float(curve.m)},
     }
 
 

@@ -9,7 +9,8 @@ synaptic inputs are
 where f are the layers' firing rates and s the turning stimuli. Each
 Euler step therefore costs two n x n ring products, ``W f_h`` (shared by
 all three layers) and ``gamma W' (f_L - f_R)``, plus one transfer-function
-evaluation. Self-connections (cell distance 0) carry no weight.
+evaluation. Self-connections (cell distance 0) carry no weight. The
+default step ``DEFAULT_DT`` is 1 ms, so a 10 ms frame is 10 steps.
 
 The network's state is its ``rates`` array of shape ``(3, n)``: rows
 f_h, f_L and f_R. ``init_at`` with B headings adds a trailing batch axis:
@@ -34,7 +35,9 @@ TWO_PI = 2.0 * np.pi
 # still change by up to 1.5 Hz from 0.5 to 1.0 s and 0.14 Hz from 2.5 to
 # 4.5 s, counted from the start of the relaxation.
 SETTLE_SECONDS = 0.5
-DEFAULT_DT = 0.0005      # Euler step [s]
+# Euler step [s], tau/20: a 10 ms frame is 10 steps. A calibration holds
+# only at the step it was made at (see ``calibration``).
+DEFAULT_DT = 0.001
 
 # Fraction of n * r_max below which the population vector is considered
 # directionless.

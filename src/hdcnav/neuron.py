@@ -45,7 +45,9 @@ def transfer(x, p: NeuronParams = NEURON):
 
     Defined for all real inputs; output lies strictly in (0, r_max).
     """
-    return p.r_max / (1.0 + np.exp(-p.beta * (np.asarray(x, dtype=float) - p.h0)))
+    z = -p.beta * (np.asarray(x, dtype=float) - p.h0)
+    # exp overflows above ~709.78; at the clamp the rate is below 1e-306 Hz.
+    return p.r_max / (1.0 + np.exp(np.minimum(z, 709.0)))
 
 
 def inverse_transfer(f, p: NeuronParams = NEURON):

@@ -6,12 +6,15 @@ A replay reads a ``Trajectory`` (``io``): the frame loop indexes its
 ``t`` and ``omega`` columns as plain lists and fills the decoded headings
 and frame times. The report is a set of per-sample numpy columns; the
 baseline, errors and summaries are computed once over whole columns.
+``TrackingReport.per_sample`` gives the same rows as objects, built a
+chunk at a time by a single-pass iterator.
 """
 
 import csv
 import json
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,9 @@ TWO_PI = 2.0 * math.pi
 
 # 100 Hz real-time budget per frame.
 _FRAME_BUDGET_MS = 10.0
+
+# Rows that ``TrackingReport.per_sample`` builds at once.
+_ROWS_PER_CHUNK = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,12 +84,19 @@ class TrackingReport:
     timing: TimingStats
 
     @property
-    def per_sample(self) -> list:
-        """The columns as one SampleResult per sample (None for NaN)."""
-        return [SampleResult(*row) for row in zip(
-            self.t.tolist(), self.decoded.tolist(), self.baseline.tolist(),
-            _or_none(self.truth), _or_none(self.error_deg),
-            _or_none(self.baseline_error_deg), self.omega_out_of_range.tolist())]
+    def per_sample(self) -> Iterator[SampleResult]:
+        """The columns as one SampleResult per sample (None for NaN).
+
+        A single-pass iterator that builds the rows a bounded chunk at a
+        time; take ``list(report.per_sample)`` to walk them twice.
+        """
+        for start in range(0, len(self.t), _ROWS_PER_CHUNK):
+            part = slice(start, start + _ROWS_PER_CHUNK)
+            yield from map(SampleResult, self.t[part].tolist(),
+                           self.decoded[part].tolist(), self.baseline[part].tolist(),
+                           _or_none(self.truth[part]), _or_none(self.error_deg[part]),
+                           _or_none(self.baseline_error_deg[part]),
+                           self.omega_out_of_range[part].tolist())
 
     def to_json(self, path):
         doc = {

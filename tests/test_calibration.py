@@ -9,7 +9,8 @@ from hdcnav.calibration import (SWEEP_FRAME_DT, CalibrationMismatchError,
                                 fit_gain, load_calibration, save_calibration,
                                 sweep)
 from hdcnav.kernel import build_kernel
-from hdcnav.network import DegenerateActivityError, HDCNetwork, TurningStimulus
+from hdcnav.network import (DEFAULT_DT, DegenerateActivityError, HDCNetwork,
+                            TurningStimulus)
 
 
 def synthetic_samples(slope, levels=(0.01, 0.02, 0.03, 0.04, 0.05, 0.06)):
@@ -147,6 +148,40 @@ def test_load_refuses_mismatched_kernel(tmp_path, gain):
     other = build_kernel(gamma=0.7)
     with pytest.raises(CalibrationMismatchError):
         load_calibration(path, kernel=other)
+
+
+def test_calibration_records_its_step(tmp_path, kernel, gain):
+    path = tmp_path / "calibration.json"
+    save_calibration(gain, path)
+    assert gain.dt == DEFAULT_DT
+    assert json.loads(path.read_text())["dt"] == DEFAULT_DT
+    assert load_calibration(path, kernel) == gain
+
+
+@pytest.mark.parametrize("dt, made_at", [(None, "0.5 ms"), (0.0005, "0.5 ms"),
+                                         (0.002, "2 ms")],
+                         ids=["unrecorded", "0.5ms", "2ms"])
+def test_load_refuses_calibration_of_another_step(tmp_path, kernel, gain, dt, made_at):
+    # A file without "dt" predates the field and was made at 0.5 ms steps.
+    path = tmp_path / "calibration.json"
+    save_calibration(gain, path)
+    doc = json.loads(path.read_text())
+    del doc["dt"]
+    path.write_text(json.dumps(doc if dt is None else {**doc, "dt": dt}))
+    with pytest.raises(CalibrationMismatchError) as info:
+        load_calibration(path, kernel)
+    message = str(info.value)
+    assert f"Euler step of {made_at}" in message
+    assert f"steps at {DEFAULT_DT * 1e3:g} ms" in message
+    assert "hdcnav calibrate" in message
+
+
+def test_load_refuses_mistyped_step(tmp_path, kernel, gain):
+    path = tmp_path / "calibration.json"
+    save_calibration(gain, path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "dt": "1 ms"}))
+    with pytest.raises(ValueError, match="'dt' must be of type float, got '1 ms'"):
+        load_calibration(path, kernel)
 
 
 @pytest.mark.parametrize("edit, message", [

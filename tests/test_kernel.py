@@ -186,6 +186,26 @@ def test_file_with_weight_vectors_loads_same_kernel_and_hash(tmp_path, kernel):
     assert kernel_hash(loaded) == kernel_hash(kernel)
 
 
+def test_int_valued_parameters_hash_as_floats(tmp_path, kernel):
+    # JSON tells 25824 from 25824.0; the kernel document holds floats, so a
+    # file with int values hashes as the equal kernel with float values.
+    path = tmp_path / "ints.json"
+    save_kernel(kernel, path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "lambda": 25824}))
+    loaded = load_kernel(path)
+    assert loaded == kernel and kernel_hash(loaded) == kernel_hash(kernel)
+
+    path.write_text(json.dumps({"version": 2, "n": 100, "lambda": 1000, "gamma": 1,
+                                "curve": {"a": 9, "b": 1, "m": 4}}))
+    loaded = load_kernel(path)
+    expected = build_kernel(TuningCurve(a=9.0, m=4.0, b=1.0), lam=1000.0, gamma=1.0)
+    assert loaded == expected and kernel_hash(loaded) == kernel_hash(expected)
+    save_kernel(loaded, path)
+    doc = json.loads(path.read_text())
+    assert all(isinstance(v, float) for v in
+               (doc["lambda"], doc["gamma"], *doc["curve"].values()))
+
+
 def test_save_is_deterministic(tmp_path, kernel):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save_kernel(kernel, p1)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from hdcnav.io import SyntheticProfile, generate
+from hdcnav.kernel import build_kernel
 from hdcnav.network import (DEFAULT_DT, SETTLE_SECONDS, DegenerateActivityError,
                             HDCNetwork, TurningStimulus, ZERO_STIMULUS)
-from hdcnav.neuron import euler_step
+from hdcnav.neuron import euler_step, transfer
 from hdcnav.io import Trajectory
 from hdcnav.tracker import track
 
@@ -241,6 +242,32 @@ def test_halving_dt_changes_little(kernel, gain):
             net.run_frame(stim, records[k].t - records[k - 1].t)
         finals.append(net.decode())
     assert abs(wrapped_deg(finals[0], finals[1])) < 0.1
+
+
+def test_halving_default_dt_changes_little(kernel, gain):
+    # The 30 s maze above, at the default step against half of it.
+    records = generate(SyntheticProfile("balanced_maze", np.radians(30), 30.0))
+    t, omega = records.t.tolist(), records.omega.tolist()
+    finals = []
+    for dt in (DEFAULT_DT, DEFAULT_DT / 2):
+        net = HDCNetwork(kernel, dt=dt)
+        net.init_at(0.0)
+        for k in range(1, len(t)):
+            level = gain.stimulus_for(omega[k])
+            stim = (TurningStimulus(left=level) if omega[k] >= 0
+                    else TurningStimulus(right=level))
+            net.run_frame(stim, t[k] - t[k - 1])
+        finals.append(net.decode())
+    assert abs(wrapped_deg(finals[0], finals[1])) < 0.1
+
+
+def test_kernel_with_strong_inhibition_settles_without_overflow():
+    # lam = 0.001 and gamma = 50 drive some synaptic inputs far below -860,
+    # where exp(-beta * (x - h0)) overflowed; warnings are errors here.
+    net = HDCNetwork(build_kernel(lam=0.001, gamma=50))
+    net.init_at(0.0)
+    assert np.all(net.rates > 0.0) and np.all(net.rates < 76.2)
+    assert np.all(transfer(np.array([-1.7e308, -1e4, -870.0])) > 0.0)
 
 
 @pytest.mark.parametrize("frame_dt, jitter", [(0.0103, 0.0), (0.0104, 0.0),

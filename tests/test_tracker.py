@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from hdcnav.io import SyntheticProfile, Trajectory, generate
 from hdcnav.network import HDCNetwork, TurningStimulus
-from hdcnav.tracker import (TimingStats, baseline_integrate, benchmark, track,
-                            wrapped_error)
+from hdcnav.tracker import (SampleResult, TimingStats, baseline_integrate,
+                            benchmark, track, wrapped_error)
 
 
 @pytest.mark.parametrize("a,b,expected", [
@@ -237,7 +237,7 @@ def test_track_with_truth_on_some_rows(tmp_path, kernel, gain):
 
     for column in (report.truth, report.error_deg, report.baseline_error_deg):
         assert (~np.isnan(column)).tolist() == known
-    samples = report.per_sample
+    samples = list(report.per_sample)
     for s, has_truth in zip(samples, known):
         assert (s.truth_heading is not None) == has_truth
         assert (s.error_deg is not None) == has_truth
@@ -254,3 +254,22 @@ def test_track_with_truth_on_some_rows(tmp_path, kernel, gain):
         rows = list(csv.reader(fh))[1:]
     for row, has_truth in zip(rows, known):
         assert [cell != "" for cell in row] == [True] * 4 + [has_truth] * 3
+
+
+def test_per_sample_streams_the_columns_in_chunks(kernel, gain):
+    # 10k samples span three chunks; each row matches the columns, with
+    # None where a sample has no truth.
+    n = 10_001
+    t = 0.001 * np.arange(n)
+    truth = np.where(np.arange(n) % 5 == 0, np.nan, 0.2 * t)
+    report = track(Trajectory(t, np.full(n, 0.2), truth), kernel, gain)
+    rows = report.per_sample
+    assert iter(rows) is rows
+    expected = [SampleResult(
+        float(report.t[k]), float(report.decoded[k]), float(report.baseline[k]),
+        *(None if math.isnan(c[k]) else float(c[k])
+          for c in (report.truth, report.error_deg, report.baseline_error_deg)),
+        bool(report.omega_out_of_range[k])) for k in range(n)]
+    assert list(rows) == expected
+    assert list(rows) == []   # single-pass
+    assert list(report.per_sample) == expected
