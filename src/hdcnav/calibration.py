@@ -72,7 +72,6 @@ class StimulusGain:
     max_velocity: float   # largest validated angular speed [rad/s]
     gamma: float
     kernel_hash: str
-    dt: float = DEFAULT_DT   # Euler step the sweep ran at [s]
 
     def stimulus_for(self, omega: float) -> float:
         return self.alpha * abs(omega)
@@ -119,8 +118,7 @@ def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
 
 def fit_gain(samples, kernel: WeightKernel) -> StimulusGain:
     """Least-squares line through the origin, inverted to the stimulus gain
-    of ``kernel``, whose gamma and hash the result carries, with the step
-    ``DEFAULT_DT`` that ``sweep`` runs at.
+    of ``kernel``, whose gamma and hash the result carries.
 
     ``samples`` are SweepSamples. Degenerate levels, levels that are not
     positive and non-finite velocities are excluded, and every error names
@@ -160,7 +158,6 @@ def fit_gain(samples, kernel: WeightKernel) -> StimulusGain:
         max_velocity=max_velocity,
         gamma=kernel.gamma,
         kernel_hash=kernel_hash(kernel),
-        dt=DEFAULT_DT,
     )
 
 
@@ -171,7 +168,7 @@ def save_calibration(gain: StimulusGain, path):
         "max_velocity": gain.max_velocity,
         "gamma": gain.gamma,
         "kernel_hash": gain.kernel_hash,
-        "dt": gain.dt,
+        "dt": DEFAULT_DT,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
@@ -203,7 +200,7 @@ def load_calibration(path, kernel: WeightKernel) -> StimulusGain:
             "re-run `hdcnav calibrate`")
     gain = StimulusGain(alpha=doc["alpha"], fit_r2=doc["fit_r2"],
                         max_velocity=doc["max_velocity"], gamma=doc["gamma"],
-                        kernel_hash=doc["kernel_hash"], dt=dt)
+                        kernel_hash=doc["kernel_hash"])
     if gain.kernel_hash != kernel_hash(kernel):
         raise CalibrationMismatchError(
             "calibration was produced for a different kernel "

@@ -228,28 +228,12 @@ def test_state_round_trip(kernel):
     np.testing.assert_array_equal(net.rates, moved)
 
 
-def test_halving_dt_changes_little(kernel, gain):
-    records = generate(SyntheticProfile("balanced_maze", np.radians(30), 30.0))
-    finals = []
-    for dt in (0.0005, 0.00025):
-        net = HDCNetwork(kernel, dt=dt)
-        net.init_at(0.0)
-        for k in range(1, len(records)):
-            omega = records[k].omega
-            level = gain.stimulus_for(omega)
-            stim = (TurningStimulus(left=level) if omega >= 0
-                    else TurningStimulus(right=level))
-            net.run_frame(stim, records[k].t - records[k - 1].t)
-        finals.append(net.decode())
-    assert abs(wrapped_deg(finals[0], finals[1])) < 0.1
-
-
-def test_halving_default_dt_changes_little(kernel, gain):
-    # The 30 s maze above, at the default step against half of it.
+def maze_final_headings(kernel, gain, dts):
+    """Final decoded heading of the 30 s balanced maze at each step in ``dts``."""
     records = generate(SyntheticProfile("balanced_maze", np.radians(30), 30.0))
     t, omega = records.t.tolist(), records.omega.tolist()
     finals = []
-    for dt in (DEFAULT_DT, DEFAULT_DT / 2):
+    for dt in dts:
         net = HDCNetwork(kernel, dt=dt)
         net.init_at(0.0)
         for k in range(1, len(t)):
@@ -258,7 +242,17 @@ def test_halving_default_dt_changes_little(kernel, gain):
                     else TurningStimulus(right=level))
             net.run_frame(stim, t[k] - t[k - 1])
         finals.append(net.decode())
-    assert abs(wrapped_deg(finals[0], finals[1])) < 0.1
+    return finals
+
+
+def test_halving_dt_changes_little(kernel, gain):
+    first, second = maze_final_headings(kernel, gain, (0.0005, 0.00025))
+    assert abs(wrapped_deg(first, second)) < 0.1
+
+
+def test_halving_default_dt_changes_little(kernel, gain):
+    first, second = maze_final_headings(kernel, gain, (DEFAULT_DT, DEFAULT_DT / 2))
+    assert abs(wrapped_deg(first, second)) < 0.1
 
 
 def test_kernel_with_strong_inhibition_settles_without_overflow():
