@@ -8,8 +8,8 @@ columns of one batched network.
 
 A calibration belongs to one weight kernel and one Euler step:
 ``fit_gain`` and ``load_calibration`` both take the kernel, the file
-records its gamma and hash and the step ``dt`` the sweep ran at, and a
-load refuses a file made for another kernel or another step.
+records its hash and the step ``dt`` the sweep ran at, and a load
+refuses a file made for another kernel or another step.
 """
 
 import json
@@ -70,7 +70,6 @@ class StimulusGain:
     alpha: float
     fit_r2: float
     max_velocity: float   # largest validated angular speed [rad/s]
-    gamma: float
     kernel_hash: str
 
     def stimulus_for(self, omega: float) -> float:
@@ -118,7 +117,7 @@ def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
 
 def fit_gain(samples, kernel: WeightKernel) -> StimulusGain:
     """Least-squares line through the origin, inverted to the stimulus gain
-    of ``kernel``, whose gamma and hash the result carries.
+    of ``kernel``, whose hash the result carries.
 
     ``samples`` are SweepSamples. Degenerate levels, levels that are not
     positive and non-finite velocities are excluded, and every error names
@@ -156,7 +155,6 @@ def fit_gain(samples, kernel: WeightKernel) -> StimulusGain:
         alpha=1.0 / slope,
         fit_r2=r2,
         max_velocity=max_velocity,
-        gamma=kernel.gamma,
         kernel_hash=kernel_hash(kernel),
     )
 
@@ -166,7 +164,6 @@ def save_calibration(gain: StimulusGain, path):
         "alpha": gain.alpha,
         "fit_r2": gain.fit_r2,
         "max_velocity": gain.max_velocity,
-        "gamma": gain.gamma,
         "kernel_hash": gain.kernel_hash,
         "dt": DEFAULT_DT,
     }
@@ -184,7 +181,7 @@ def load_calibration(path, kernel: WeightKernel) -> StimulusGain:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     check_fields(doc, {"alpha": float, "fit_r2": float, "max_velocity": float,
-                       "gamma": float, "kernel_hash": str}, path)
+                       "kernel_hash": str}, path)
     # fit_gain writes alpha = 1/slope > 0 and a max_velocity of 0 or more.
     if doc["alpha"] <= 0.0:
         raise ValueError(f"{path}: 'alpha' must be positive, got {doc['alpha']!r}")
@@ -199,8 +196,7 @@ def load_calibration(path, kernel: WeightKernel) -> StimulusGain:
             f"but the network steps at {DEFAULT_DT * 1e3:g} ms; "
             "re-run `hdcnav calibrate`")
     gain = StimulusGain(alpha=doc["alpha"], fit_r2=doc["fit_r2"],
-                        max_velocity=doc["max_velocity"], gamma=doc["gamma"],
-                        kernel_hash=doc["kernel_hash"])
+                        max_velocity=doc["max_velocity"], kernel_hash=doc["kernel_hash"])
     if gain.kernel_hash != kernel_hash(kernel):
         raise CalibrationMismatchError(
             "calibration was produced for a different kernel "

@@ -195,7 +195,7 @@ def build_parser():
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("generate", help="write a synthetic trajectory CSV")
-    p.add_argument("--kind", choices=["constant_rotation", "balanced_maze", "noisy"],
+    p.add_argument("--kind", choices=["constant_rotation", "balanced_maze"],
                    default="constant_rotation")
     p.add_argument("--omega-max", dest="omega_max", type=float,
                    default=math.radians(20.0), help="peak angular velocity [rad/s]")

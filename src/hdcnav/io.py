@@ -6,16 +6,16 @@ times ``t`` [s], yaw rate ``omega`` [rad/s] and ground-truth yaw
 place where a trajectory is validated. The canonical interchange format
 is a small CSV ("t,omega[,truth]"), parsed in one vectorised pass; a
 KITTI-style oxts directory adapter maps raw IMU logs onto the same
-columns. Synthetic profiles reproduce the simulation experiments:
-constant rotation, a balanced maze-like turn sequence, and a noisy
-variant of the latter.
+columns. Synthetic profiles reproduce the simulation experiments: a
+path, constant rotation or a balanced maze-like turn sequence, plus
+seeded white gyro noise on its yaw rate, none by default.
 """
 
 import csv
 import math
 import os
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from typing import NamedTuple
 
 import numpy as np
@@ -111,17 +111,17 @@ class OxtsLayout:
 
 @dataclass(frozen=True)
 class SyntheticProfile:
-    """Parameters of a generated test trajectory."""
+    """Parameters of a generated test trajectory: a path plus gyro noise."""
 
-    kind: str                      # constant_rotation | balanced_maze | noisy
+    kind: str                      # constant_rotation | balanced_maze
     omega_max: float               # [rad/s]
     duration: float                # [s]
     frame_dt: float = 0.01
-    noise_sigma: float = 0.0       # [rad/s], noisy kind only
-    seed: int = 0
+    noise_sigma: float = 0.0       # [rad/s]
+    seed: int = 0                  # of the noise
 
     def __post_init__(self):
-        if self.kind not in ("constant_rotation", "balanced_maze", "noisy"):
+        if self.kind not in ("constant_rotation", "balanced_maze"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.frame_dt <= 0 or self.duration <= 0:
             raise ValueError("duration and frame_dt must be positive")
@@ -129,8 +129,6 @@ class SyntheticProfile:
             raise ValueError("omega_max must be positive")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if self.noise_sigma and self.kind != "noisy":
-            raise ValueError(f"noise_sigma applies to the noisy kind only, not {self.kind!r}")
 
 
 # -- CSV ----------------------------------------------------------------
@@ -222,7 +220,8 @@ def write_csv(trajectory: Trajectory, path):
 # -- oxts directories ---------------------------------------------------
 
 def _parse_timestamp(line: str) -> float:
-    """Seconds from an oxts timestamp line (ISO datetime or plain float)."""
+    """Seconds from an oxts timestamp line (ISO datetime or plain float);
+    a datetime without a zone reads as UTC, whatever the local zone."""
     text = line.strip()
     try:
         return float(text)
@@ -237,7 +236,7 @@ def _parse_timestamp(line: str) -> float:
         stamp = datetime.fromisoformat(f"{date} {clock}")
     except ValueError:
         raise TrajectoryFormatError(f"unparseable timestamp line {line!r}") from None
-    return stamp.timestamp()
+    return stamp.replace(tzinfo=stamp.tzinfo or timezone.utc).timestamp()
 
 
 def read_oxts(directory, layout: OxtsLayout = OxtsLayout()) -> Trajectory:
@@ -348,12 +347,9 @@ def generate(profile: SyntheticProfile) -> Trajectory:
         ts = np.arange(n + 1) * profile.frame_dt
         omega = np.full(len(ts), profile.omega_max)
         truth = profile.omega_max * ts
-    elif profile.kind == "balanced_maze":
+    else:  # balanced_maze
         segments = _maze_segments(profile.omega_max, profile.duration)
         ts, omega, truth = _sample_segments(segments, profile.frame_dt)
-    else:  # noisy
-        segments = _maze_segments(profile.omega_max, profile.duration)
-        ts, omega, truth = _sample_segments(segments, profile.frame_dt)
-        rng = np.random.default_rng(profile.seed)
-        omega = omega + rng.normal(0.0, profile.noise_sigma, len(omega))
-    return Trajectory(ts, omega, truth % TWO_PI)
+    # Noise on omega only, so truth stays the clean path's; sigma 0 adds zeros.
+    noise = np.random.default_rng(profile.seed).normal(0.0, profile.noise_sigma, len(ts))
+    return Trajectory(ts, omega + noise, truth % TWO_PI)

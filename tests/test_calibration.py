@@ -69,8 +69,7 @@ def test_sweep_marks_reversed_bump_degenerate(kernel):
 
 
 def test_stimulus_for_uses_absolute_velocity():
-    gain = StimulusGain(alpha=0.1, fit_r2=1.0, max_velocity=1.0,
-                        gamma=1.0, kernel_hash="")
+    gain = StimulusGain(alpha=0.1, fit_r2=1.0, max_velocity=1.0, kernel_hash="")
     assert gain.stimulus_for(-0.5) == pytest.approx(0.05)
     assert gain.stimulus_for(0.5) == pytest.approx(0.05)
 
@@ -150,6 +149,17 @@ def test_load_refuses_mismatched_kernel(tmp_path, gain):
         load_calibration(path, kernel=other)
 
 
+def test_calibration_with_gamma_loads_to_the_same_gain(tmp_path, kernel, gain):
+    # Files written before the gain dropped gamma still hold it; the kernel
+    # hash already pins gamma, so the key is ignored.
+    path = tmp_path / "calibration.json"
+    save_calibration(gain, path)
+    doc = json.loads(path.read_text())
+    assert set(doc) == {"alpha", "fit_r2", "max_velocity", "kernel_hash", "dt"}
+    path.write_text(json.dumps({**doc, "gamma": kernel.gamma}, indent=1))
+    assert load_calibration(path, kernel) == gain
+
+
 def test_calibration_records_its_step(tmp_path, kernel, gain):
     path = tmp_path / "calibration.json"
     save_calibration(gain, path)
@@ -188,7 +198,7 @@ def test_load_refuses_mistyped_step(tmp_path, kernel, gain):
     pytest.param(lambda d: {k: v for k, v in d.items() if k != "alpha"},
                  "missing 'alpha'$", id="no-alpha"),
     pytest.param(lambda d: {},
-                 "missing 'alpha', 'fit_r2', 'max_velocity', 'gamma', 'kernel_hash'",
+                 "missing 'alpha', 'fit_r2', 'max_velocity', 'kernel_hash'",
                  id="empty"),
     pytest.param(lambda d: {**d, "alpha": "x"},
                  "'alpha' must be of type float, got 'x'", id="string-alpha"),

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -188,6 +189,22 @@ def test_oxts_plain_float_timestamps(tmp_path):
     assert records[1].t == pytest.approx(0.1)
 
 
+def test_oxts_intervals_ignore_the_local_time_zone(tmp_path, monkeypatch):
+    # In this zone 02:00 EDT falls back to 01:00 EST on 2011-11-06; read as
+    # local times, these stamps would lie 3600.1 s apart.
+    make_oxts_dir(tmp_path, yaws=[0.0, 0.0], rates=[0.0, 0.0],
+                  timestamps=["2011-11-06 01:59:59.900000000",
+                              "2011-11-06 02:00:00.000000000"])
+    monkeypatch.setenv("TZ", "EST5EDT,M3.2.0,M11.1.0")
+    time.tzset()
+    try:
+        records = read_oxts(tmp_path)
+    finally:
+        monkeypatch.undo()
+        time.tzset()
+    assert records[1].t == pytest.approx(0.1)
+
+
 def test_oxts_missing_timestamps(tmp_path):
     (tmp_path / "data").mkdir()
     with pytest.raises(TrajectoryFormatError, match="timestamps"):
@@ -228,15 +245,12 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         SyntheticProfile("spiral", 0.1, 10.0)
     with pytest.raises(ValueError):
-        SyntheticProfile("noisy", 0.1, -1.0)
+        SyntheticProfile("balanced_maze", 0.1, -1.0)
     with pytest.raises(ValueError):
-        SyntheticProfile("noisy", 0.0, 10.0)
-    for kind in ("constant_rotation", "balanced_maze"):
-        with pytest.raises(ValueError, match="noisy kind only"):
-            SyntheticProfile(kind, 0.1, 10.0, noise_sigma=0.1)
+        SyntheticProfile("balanced_maze", 0.0, 10.0)
     for sigma in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and >= 0"):
-            SyntheticProfile("noisy", 0.1, 10.0, noise_sigma=sigma)
+            SyntheticProfile("balanced_maze", 0.1, 10.0, noise_sigma=sigma)
 
 
 def test_constant_rotation_one_lap():
@@ -273,10 +287,12 @@ def test_maze_truth_matches_trapezoid_integral():
 
 
 def test_noisy_profile_is_deterministic_and_clean_truth():
-    prof = SyntheticProfile("noisy", math.radians(30), 30.0,
-                            noise_sigma=0.05, seed=7)
-    a, b = generate(prof), generate(prof)
-    assert [r.omega for r in a] == [r.omega for r in b]
-    clean = generate(SyntheticProfile("balanced_maze", math.radians(30), 30.0))
-    assert [r.truth for r in a] == [r.truth for r in clean]
-    assert [r.omega for r in a] != [r.omega for r in clean]
+    # The noise applies to either path.
+    for kind in ("balanced_maze", "constant_rotation"):
+        prof = SyntheticProfile(kind, math.radians(30), 30.0,
+                                noise_sigma=0.05, seed=7)
+        a, b = generate(prof), generate(prof)
+        assert [r.omega for r in a] == [r.omega for r in b]
+        clean = generate(SyntheticProfile(kind, math.radians(30), 30.0))
+        assert [r.truth for r in a] == [r.truth for r in clean]
+        assert [r.omega for r in a] != [r.omega for r in clean]

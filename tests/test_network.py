@@ -275,7 +275,7 @@ def test_off_grid_frames_keep_lap_accuracy(kernel, gain, frame_dt, jitter):
     t = np.concatenate(([0.0], np.cumsum(
         frame_dt * (1.0 + rng.uniform(-jitter, jitter, n_frames)))))
     report = track(Trajectory(t, np.full(len(t), omega)), kernel, gain)
-    decoded = np.unwrap([s.decoded_heading for s in report.per_sample])
+    decoded = np.unwrap(report.decoded)
     accumulated = math.degrees(decoded[-1] - decoded[0] - t[-1] * omega)
     assert abs(accumulated) < 1.0
 
@@ -323,7 +323,7 @@ def test_step_matches_block_oracle(kernel):
 
 def test_maze_replay_matches_block_oracle(kernel, gain):
     records = generate(SyntheticProfile("balanced_maze", math.radians(30), 90.0))
-    decoded = [s.decoded_heading for s in track(records, kernel, gain).per_sample]
+    decoded = track(records, kernel, gain).decoded
 
     block = _block_matrix(kernel)
 
@@ -351,4 +351,4 @@ def test_maze_replay_matches_block_oracle(kernel, gain):
                 else TurningStimulus(right=level))
         rates = run(rates, stim, rec.t - prev.t)
         oracle.append(heading(rates))
-    assert np.max(np.abs(wrapped_deg(np.array(decoded), np.array(oracle)))) < 1e-9
+    assert np.max(np.abs(wrapped_deg(decoded, np.array(oracle)))) < 1e-9

@@ -80,16 +80,15 @@ def test_track_flags_out_of_range_velocity(kernel, gain):
     fast = gain.max_velocity * 1.5
     records = Trajectory([0.0, 0.01, 0.02], [0.0, fast, 0.1])
     report = track(records, kernel, gain)
-    flags = [s.omega_out_of_range for s in report.per_sample]
-    assert flags == [False, True, False]
+    assert report.omega_out_of_range.tolist() == [False, True, False]
 
 
 def test_track_without_truth_leaves_errors_unset(kernel, gain):
     records = Trajectory([0.01 * i for i in range(20)], [0.1] * 20)
     report = track(records, kernel, gain)
     assert report.mean_error_deg is None
-    assert all(s.error_deg is None for s in report.per_sample)
-    assert all(np.isfinite(s.decoded_heading) for s in report.per_sample)
+    assert np.isnan(report.error_deg).all()
+    assert np.isfinite(report.decoded).all()
 
 
 def test_report_outputs(tmp_path, kernel, gain):
