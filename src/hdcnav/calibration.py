@@ -95,8 +95,8 @@ def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
         raise ValueError("stimulus levels must be non-negative")
     if np.any(np.diff(levels) < 0):
         raise ValueError("stimulus levels must be ascending")
-    if duration < 2.0:
-        raise ValueError("sweep duration must be at least 2 s")
+    if not 2.0 <= duration < math.inf:
+        raise ValueError(f"sweep duration must be finite and at least 2 s, got {duration}")
     net = HDCNetwork(kernel)
     net.init_at(np.full(levels.size, np.pi))
     stimulus = TurningStimulus(left=levels)

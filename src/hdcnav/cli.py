@@ -3,9 +3,12 @@
 Subcommands: synthesize, calibrate, track, bench, generate. Arguments
 can also come from a file named as ``@FILE``, one argument per line;
 argparse inserts them where the file is named, so a later flag overrides
-them. Only the options that are set reach the library, so its defaults
-are the only defaults. Exit codes: 0 success, 1 validation/invariant
-failure, 2 I/O or usage error.
+them. argparse checks the arguments: which are required, which exclude
+each other, and that each value parses. The library checks the values
+and holds every default but the output paths: only the options that are
+set reach it, through ``**_given(...)``. The CLI's one check of its own
+is synthesize's refusal of a kernel that holds no bump. Exit codes: 0
+success, 1 validation/invariant failure, 2 I/O or usage error.
 """
 
 import argparse
@@ -20,8 +23,7 @@ from . import __version__
 from .calibration import fit_gain, load_calibration, save_calibration, sweep
 from .kernel import TuningCurve, build_kernel, kernel_hash, load_kernel, save_kernel
 from .network import DegenerateActivityError, HDCNetwork
-from .io import (SyntheticProfile, generate, read_csv, read_oxts, write_csv,
-                 OxtsLayout)
+from .io import SyntheticProfile, generate, read_csv, read_oxts, write_csv
 from .tracker import benchmark, track
 
 # Table-stakes reference for the latency report: mean per-frame compute
@@ -33,10 +35,6 @@ EXIT_INVALID = 1
 EXIT_IO = 2
 
 
-class CliError(Exception):
-    """Validation failure that should terminate with exit code 1."""
-
-
 def _given(args, *names):
     """The named options that are set, as keyword arguments."""
     return {name: getattr(args, name) for name in names
@@ -45,16 +43,20 @@ def _given(args, *names):
 
 def _load_replay(args):
     """The kernel, calibration and trajectory that track and bench replay."""
-    if args.kernel is None or args.calibration is None:
-        raise CliError("--kernel and --calibration are required")
     kernel = load_kernel(args.kernel)
     gain = load_calibration(args.calibration, kernel=kernel)
-    if (args.trajectory is None) == (args.oxts is None):
-        raise CliError("exactly one of --trajectory or --oxts is required")
     if args.trajectory is not None:
         return kernel, gain, read_csv(args.trajectory)
-    layout = OxtsLayout(**_given(args, "yaw_column", "yaw_rate_column"))
-    return kernel, gain, read_oxts(args.oxts, layout)
+    return kernel, gain, read_oxts(args.oxts,
+                                   **_given(args, "yaw_column", "yaw_rate_column"))
+
+
+def _stimulus_levels(text):
+    """A comma-separated list of stimulus levels, in ascending order."""
+    try:
+        return sorted(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse stimulus list {text!r}") from None
 
 
 # -- subcommands --------------------------------------------------------
@@ -67,7 +69,7 @@ def cmd_synthesize(args):
     try:
         net.decode()
     except DegenerateActivityError as exc:
-        raise CliError(f"the kernel cannot hold an activity bump ({exc}): {kernel}") from None
+        raise ValueError(f"the kernel cannot hold an activity bump ({exc}): {kernel}") from None
     save_kernel(kernel, args.out)
     w, wp = kernel.h_to_h, kernel.s_to_h
     print(f"kernel n={kernel.n} lambda={kernel.lam:g} gamma={kernel.gamma:g} "
@@ -79,17 +81,8 @@ def cmd_synthesize(args):
 
 
 def cmd_calibrate(args):
-    if args.kernel is None:
-        raise CliError("--kernel is required")
     kernel = load_kernel(args.kernel)
-    options = _given(args, "duration")
-    if args.stimuli is not None:
-        try:
-            options["stimuli"] = sorted(float(tok) for tok in args.stimuli.split(",")
-                                        if tok.strip())
-        except ValueError:
-            raise CliError(f"cannot parse stimulus list {args.stimuli!r}") from None
-    samples = sweep(kernel, **options)
+    samples = sweep(kernel, **_given(args, "stimuli", "duration"))
     gain = fit_gain(samples, kernel=kernel)
     save_calibration(gain, args.out)
     if args.sweep_csv:
@@ -134,8 +127,8 @@ def cmd_bench(args):
 
 
 def cmd_generate(args):
-    profile = SyntheticProfile(args.kind, args.omega_max, args.duration,
-                               **_given(args, "frame_dt", "noise_sigma", "seed"))
+    profile = SyntheticProfile(**_given(args, "kind", "omega_max", "duration",
+                                        "frame_dt", "noise_sigma", "seed"))
     trajectory = generate(profile)
     write_csv(trajectory, args.out)
     print(f"{profile.kind}: {len(trajectory)} samples over "
@@ -166,18 +159,20 @@ def build_parser():
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("calibrate", help="sweep stimuli and fit the gain")
-    p.add_argument("--kernel")
-    p.add_argument("--stimuli", help="comma-separated stimulus levels")
+    p.add_argument("--kernel", required=True)
+    p.add_argument("--stimuli", type=_stimulus_levels,
+                   help="comma-separated stimulus levels")
     p.add_argument("--duration", type=float)
     p.add_argument("--out", default="calibration.json")
     p.add_argument("--sweep-csv", dest="sweep_csv")
     p.set_defaults(func=cmd_calibrate)
 
     replay = argparse.ArgumentParser(add_help=False)
-    replay.add_argument("--kernel")
-    replay.add_argument("--calibration")
-    replay.add_argument("--trajectory", help="CSV trajectory (t,omega[,truth])")
-    replay.add_argument("--oxts", help="oxts-style directory instead of CSV")
+    replay.add_argument("--kernel", required=True)
+    replay.add_argument("--calibration", required=True)
+    source = replay.add_mutually_exclusive_group(required=True)
+    source.add_argument("--trajectory", help="CSV trajectory (t,omega[,truth])")
+    source.add_argument("--oxts", help="oxts-style directory instead of CSV")
     replay.add_argument("--yaw-column", dest="yaw_column", type=int)
     replay.add_argument("--yaw-rate-column", dest="yaw_rate_column", type=int)
 
@@ -195,11 +190,10 @@ def build_parser():
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("generate", help="write a synthetic trajectory CSV")
-    p.add_argument("--kind", choices=["constant_rotation", "balanced_maze"],
-                   default="constant_rotation")
+    p.add_argument("--kind", choices=["constant_rotation", "balanced_maze"])
     p.add_argument("--omega-max", dest="omega_max", type=float,
-                   default=math.radians(20.0), help="peak angular velocity [rad/s]")
-    p.add_argument("--duration", type=float, default=18.0)
+                   help="peak angular velocity [rad/s]")
+    p.add_argument("--duration", type=float)
     p.add_argument("--frame-dt", dest="frame_dt", type=float)
     p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
     p.add_argument("--seed", type=int)
@@ -215,7 +209,7 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (CliError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

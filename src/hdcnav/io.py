@@ -14,13 +14,14 @@ seeded white gyro noise on its yaw rate, none by default.
 import csv
 import math
 import os
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["Trajectory", "TrajectoryRecord", "OxtsLayout", "SyntheticProfile",
+__all__ = ["Trajectory", "TrajectoryRecord", "SyntheticProfile",
            "read_csv", "write_csv", "read_oxts", "generate",
            "TrajectoryFormatError"]
 
@@ -96,37 +97,26 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class OxtsLayout:
-    """Column layout of whitespace-separated oxts records."""
-
-    yaw_column: int = 5
-    yaw_rate_column: int = 19
-
-    def __post_init__(self):
-        if self.yaw_column < 0 or self.yaw_rate_column < 0:
-            raise ValueError("column indices must be non-negative")
-        if self.yaw_column == self.yaw_rate_column:
-            raise ValueError("yaw and yaw-rate columns must be distinct")
-
-
-@dataclass(frozen=True)
 class SyntheticProfile:
-    """Parameters of a generated test trajectory: a path plus gyro noise."""
+    """Parameters of a generated test trajectory: a path plus gyro noise.
 
-    kind: str                      # constant_rotation | balanced_maze
-    omega_max: float               # [rad/s]
-    duration: float                # [s]
-    frame_dt: float = 0.01
-    noise_sigma: float = 0.0       # [rad/s]
-    seed: int = 0                  # of the noise
+    The defaults are one 20 deg/s lap, sampled every 10 ms without noise.
+    """
+
+    kind: str = "constant_rotation"            # or balanced_maze
+    omega_max: float = math.radians(20.0)      # [rad/s]
+    duration: float = 18.0                     # [s]
+    frame_dt: float = 0.01                     # [s]
+    noise_sigma: float = 0.0                   # [rad/s]
+    seed: int = 0                              # of the noise
 
     def __post_init__(self):
         if self.kind not in ("constant_rotation", "balanced_maze"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.frame_dt <= 0 or self.duration <= 0:
-            raise ValueError("duration and frame_dt must be positive")
-        if self.omega_max <= 0:
-            raise ValueError("omega_max must be positive")
+        for name in ("omega_max", "duration", "frame_dt"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
@@ -227,25 +217,30 @@ def _parse_timestamp(line: str) -> float:
         return float(text)
     except ValueError:
         pass
-    # e.g. "2011-10-03 12:55:34.591046633"; trim to microseconds
-    date, _, clock = text.partition(" ")
-    if "." in clock:
-        whole, frac = clock.split(".", 1)
-        clock = whole + "." + frac[:6]
+    # e.g. "2011-10-03 12:55:34.591046633". Before Python 3.11,
+    # fromisoformat reads only 3 or 6 fraction digits, so the fraction
+    # becomes exactly 6 (trimmed to microseconds); a zone suffix stays.
+    text = re.sub(r"\.(\d+)", lambda m: "." + m[1][:6].ljust(6, "0"), text)
     try:
-        stamp = datetime.fromisoformat(f"{date} {clock}")
+        stamp = datetime.fromisoformat(text)
     except ValueError:
         raise TrajectoryFormatError(f"unparseable timestamp line {line!r}") from None
     return stamp.replace(tzinfo=stamp.tzinfo or timezone.utc).timestamp()
 
 
-def read_oxts(directory, layout: OxtsLayout = OxtsLayout()) -> Trajectory:
+def read_oxts(directory, yaw_column: int = 5, yaw_rate_column: int = 19) -> Trajectory:
     """Read an oxts-style directory into a Trajectory.
 
     Expects per-frame whitespace-separated numeric files (in ``data/`` or
     directly in the directory) and a ``timestamps.txt`` with one line per
-    frame. Yaw rate becomes omega, yaw becomes the ground truth.
+    frame. The yaw rate in field ``yaw_rate_column`` becomes omega and the
+    yaw in field ``yaw_column`` the ground truth; the defaults are KITTI's
+    yaw and wz fields. A bad timestamp names its ``timestamps.txt`` line,
+    a bad yaw or yaw rate its data file.
     """
+    if min(yaw_column, yaw_rate_column) < 0 or yaw_column == yaw_rate_column:
+        raise ValueError("yaw and yaw-rate columns must be distinct and non-negative, "
+                         f"got {yaw_column} and {yaw_rate_column}")
     ts_path = os.path.join(directory, "timestamps.txt")
     if not os.path.isfile(ts_path):
         raise TrajectoryFormatError(f"{directory}: missing timestamps.txt")
@@ -255,13 +250,18 @@ def read_oxts(directory, layout: OxtsLayout = OxtsLayout()) -> Trajectory:
     frames = sorted(f for f in os.listdir(data_dir)
                     if f.endswith(".txt") and f != "timestamps.txt")
     with open(ts_path, encoding="utf-8") as fh:
-        stamps = [_parse_timestamp(line) for line in fh if line.strip()]
+        lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    stamps = [_parse_timestamp(line) for _, line in lines]
     if len(stamps) != len(frames):
         raise TrajectoryFormatError(
             f"{directory}: {len(frames)} data files but {len(stamps)} timestamps")
     if not frames:
         raise TrajectoryFormatError(f"{directory}: no data files")
-    needed = max(layout.yaw_column, layout.yaw_rate_column)
+    try:  # the stamps alone, so that a bad one is not blamed on a data file
+        Trajectory(stamps, np.zeros(len(stamps)))
+    except TrajectoryFormatError as exc:
+        raise TrajectoryFormatError(f"{ts_path}:{lines[exc.sample][0]}: {exc.reason}") from None
+    needed = max(yaw_column, yaw_rate_column)
     yaws, rates = [], []
     for name in frames:
         path = os.path.join(data_dir, name)
@@ -271,8 +271,8 @@ def read_oxts(directory, layout: OxtsLayout = OxtsLayout()) -> Trajectory:
             raise TrajectoryFormatError(
                 f"{path}: only {len(fields)} fields, need index {needed}")
         try:
-            yaws.append(float(fields[layout.yaw_column]))
-            rates.append(float(fields[layout.yaw_rate_column]))
+            yaws.append(float(fields[yaw_column]))
+            rates.append(float(fields[yaw_rate_column]))
         except ValueError:
             raise TrajectoryFormatError(f"{path}: non-numeric field") from None
         # A NaN yaw, or an infinite one once wrapped, would read as "no truth".

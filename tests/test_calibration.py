@@ -83,15 +83,21 @@ def test_sweep_input_validation(kernel):
         sweep(kernel, [0.01, 0.02], duration=1.0)
 
 
-@pytest.mark.parametrize("levels", [[], [0.01, float("nan")],
-                                    [0.01, float("inf")]])
-def test_sweep_refuses_bad_levels_before_simulating(kernel, monkeypatch, levels):
+@pytest.mark.parametrize("levels, duration", [
+    pytest.param([], 4.0, id="levels0"),
+    pytest.param([0.01, float("nan")], 4.0, id="levels1"),
+    pytest.param([0.01, float("inf")], 4.0, id="levels2"),
+    pytest.param([0.01, 0.02], float("inf"), id="duration-inf"),
+    pytest.param([0.01, 0.02], float("nan"), id="duration-nan"),
+])
+def test_sweep_refuses_bad_levels_before_simulating(kernel, monkeypatch, levels,
+                                                    duration):
     def no_network(*args, **kwargs):
         raise AssertionError("sweep built a network before validating its levels")
 
     monkeypatch.setattr(calibration, "HDCNetwork", no_network)
     with pytest.raises(ValueError):
-        sweep(kernel, levels)
+        sweep(kernel, levels, duration=duration)
 
 
 def _sequential_sweep(kernel, levels, duration):

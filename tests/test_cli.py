@@ -162,10 +162,11 @@ def test_missing_file_is_io_error(tmp_path):
 
 def test_invalid_arguments_fail(tmp_path, kernel_file, calibration_file):
     # both --trajectory and --oxts given
-    code = main(["track", "--kernel", kernel_file,
-                 "--calibration", calibration_file,
-                 "--trajectory", "a.csv", "--oxts", "b"])
-    assert code == 1
+    with pytest.raises(SystemExit) as info:
+        main(["track", "--kernel", kernel_file,
+              "--calibration", calibration_file,
+              "--trajectory", "a.csv", "--oxts", "b"])
+    assert info.value.code == 2
     # a negative noise level is refused; a positive one applies to any path
     noise = tmp_path / "noise.csv"
     assert main(["generate", "--kind", "balanced_maze", "--noise-sigma", "-0.1",
@@ -173,6 +174,38 @@ def test_invalid_arguments_fail(tmp_path, kernel_file, calibration_file):
     assert not noise.exists()
     assert main(["generate", "--kind", "balanced_maze", "--noise-sigma", "0.1",
                  "--out", str(noise)]) == 0
+
+
+def test_usage_errors_exit_2_before_reading_files(tmp_path, kernel_file,
+                                                  calibration_file, trajectory_file):
+    # A usage error is argparse's: it exits 2 and no command runs, so no
+    # file is read or written.
+    kernel = ["--kernel", kernel_file]
+    calibration = ["--calibration", calibration_file]
+    trajectory = ["--trajectory", trajectory_file]
+    oxts = ["--oxts", str(tmp_path / "oxts")]
+    report = ["--report", str(tmp_path / "report.json")]
+    for argv in (["calibrate", *kernel, "--stimuli", "abc",
+                  "--out", str(tmp_path / "calibration.json")],
+                 ["track", *calibration, *trajectory, *report],
+                 ["track", *kernel, *trajectory, *report],
+                 ["track", *kernel, *calibration, *report],
+                 ["track", *kernel, *calibration, *trajectory, *oxts, *report]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert list(tmp_path.iterdir()) == [], argv
+
+
+@pytest.mark.parametrize("flag, value", [("--omega-max", "nan"), ("--duration", "inf"),
+                                         ("--frame-dt", "nan")])
+def test_generate_refuses_non_finite_profile(tmp_path, capsys, flag, value):
+    # On the default constant rotation: without the check, a maze of NaN
+    # speed or infinite length would never end.
+    out = tmp_path / "trajectory.csv"
+    assert main(["generate", flag, value, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "must be finite and > 0" in capsys.readouterr().err
 
 
 def test_argument_file_and_flag_override(tmp_path):

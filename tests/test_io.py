@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdcnav.io import (OxtsLayout, SyntheticProfile, Trajectory,
+from hdcnav.io import (SyntheticProfile, Trajectory,
                        TrajectoryFormatError, TrajectoryRecord, generate,
                        read_csv, read_oxts, write_csv)
 
@@ -150,14 +150,14 @@ def test_csv_reads_back_like_per_row_reference(tmp_path_factory, rows, t0,
 
 # -- oxts ---------------------------------------------------------------
 
-def make_oxts_dir(root, yaws, rates, timestamps=None, layout=OxtsLayout()):
+def make_oxts_dir(root, yaws, rates, timestamps=None, yaw_column=5, yaw_rate_column=19):
     data = root / "data"
     data.mkdir()
-    width = max(layout.yaw_column, layout.yaw_rate_column) + 1
+    width = max(yaw_column, yaw_rate_column) + 1
     for i, (yaw, rate) in enumerate(zip(yaws, rates)):
         fields = [0.0] * width
-        fields[layout.yaw_column] = yaw
-        fields[layout.yaw_rate_column] = rate
+        fields[yaw_column] = yaw
+        fields[yaw_rate_column] = rate
         (data / f"{i:010d}.txt").write_text(" ".join(f"{v:.9g}" for v in fields) + "\n")
     if timestamps is None:
         timestamps = [f"2011-10-03 12:55:{34 + i:02d}.500000000" for i in range(len(yaws))]
@@ -176,9 +176,9 @@ def test_oxts_reads_yaw_and_rate(tmp_path):
 
 
 def test_oxts_custom_layout(tmp_path):
-    layout = OxtsLayout(yaw_column=1, yaw_rate_column=2)
-    make_oxts_dir(tmp_path, yaws=[0.1, 0.2], rates=[0.5, 0.6], layout=layout)
-    records = read_oxts(tmp_path, layout)
+    layout = {"yaw_column": 1, "yaw_rate_column": 2}
+    make_oxts_dir(tmp_path, yaws=[0.1, 0.2], rates=[0.5, 0.6], **layout)
+    records = read_oxts(tmp_path, **layout)
     assert [r.omega for r in records] == pytest.approx([0.5, 0.6])
 
 
@@ -232,11 +232,39 @@ def test_oxts_refuses_non_finite_yaw(tmp_path):
         read_oxts(tmp_path)
 
 
-def test_oxts_layout_validation():
-    with pytest.raises(ValueError):
-        OxtsLayout(yaw_column=3, yaw_rate_column=3)
-    with pytest.raises(ValueError):
-        OxtsLayout(yaw_column=-1)
+def test_oxts_layout_validation(tmp_path):
+    # The columns are checked before any file is opened: there is none here.
+    with pytest.raises(ValueError, match="distinct and non-negative"):
+        read_oxts(tmp_path / "absent", yaw_column=3, yaw_rate_column=3)
+    with pytest.raises(ValueError, match="distinct and non-negative"):
+        read_oxts(tmp_path / "absent", yaw_column=-1)
+
+
+def test_oxts_zoned_timestamps_keep_their_fraction(tmp_path):
+    make_oxts_dir(tmp_path, yaws=[0.0, 0.0, 0.0], rates=[0.0, 0.0, 0.0],
+                  timestamps=["2011-10-03 12:55:34.5+02:00",
+                              "2011-10-03 10:55:35.25+00:00",
+                              "2011-10-03 12:55:36.123456789+02:00"])
+    assert read_oxts(tmp_path).t.tolist() == pytest.approx([0.0, 0.75, 1.623456])
+
+
+@pytest.mark.parametrize("stamps,error", [
+    (["0.0", "nan", "0.02"], "timestamps.txt:2: non-finite value"),
+    (["0.0", "0.02", "0.01"], "timestamps.txt:3: timestamp 0.01 not after 0.02"),
+    (["0.0", "", "0.02", "0.02"], "timestamps.txt:4: timestamp 0.02 not after 0.02"),
+], ids=["nan", "decreasing", "repeated-after-blank-line"])
+def test_oxts_bad_timestamp_names_its_line(tmp_path, stamps, error):
+    frames = len([s for s in stamps if s])
+    make_oxts_dir(tmp_path, yaws=[0.0] * frames, rates=[0.0] * frames, timestamps=stamps)
+    with pytest.raises(TrajectoryFormatError, match=error):
+        read_oxts(tmp_path)
+
+
+def test_oxts_non_finite_rate_names_its_data_file(tmp_path):
+    make_oxts_dir(tmp_path, yaws=[0.0, 0.0, 0.0], rates=[0.0, 0.0, math.nan],
+                  timestamps=["0.0", "0.01", "0.02"])
+    with pytest.raises(TrajectoryFormatError, match="0000000002.txt: non-finite value"):
+        read_oxts(tmp_path)
 
 
 # -- synthetic profiles -------------------------------------------------
@@ -251,6 +279,11 @@ def test_profile_validation():
     for sigma in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and >= 0"):
             SyntheticProfile("balanced_maze", 0.1, 10.0, noise_sigma=sigma)
+    # Only constructed: a maze of NaN speed or infinite length never ends.
+    for field in ("omega_max", "duration", "frame_dt"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+                SyntheticProfile("balanced_maze", **{field: value})
 
 
 def test_constant_rotation_one_lap():
