@@ -15,6 +15,7 @@ import csv
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import NamedTuple
@@ -170,15 +171,26 @@ def read_csv(path) -> Trajectory:
     skipped. Every error on a data row names its ``path:line``.
     """
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    if not text:
-        raise TrajectoryFormatError(f"{path}: empty file")
-    lines = text.split("\n")
-    header = next(csv.reader(lines[:1]))
-    cols = [c.strip().lower() for c in header]
-    if cols not in (["t", "omega"], ["t", "omega", "truth"]):
-        raise TrajectoryFormatError(
-            f"{path}: header must be 't,omega[,truth]', got {','.join(header)!r}")
+        first = fh.readline()
+        if not first:
+            raise TrajectoryFormatError(f"{path}: empty file")
+        header = next(csv.reader([first]))
+        cols = [c.strip().lower() for c in header]
+        if cols not in (["t", "omega"], ["t", "omega", "truth"]):
+            raise TrajectoryFormatError(
+                f"{path}: header must be 't,omega[,truth]', got {','.join(header)!r}")
+        # The rows straight from the file, with no copy of its text. Any
+        # fault, a whitespace-only line or no data row at all included,
+        # takes the line-by-line path below, which skips blank lines and
+        # names the line at fault.
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                return Trajectory(*_parse_rows(fh, len(cols)).T)
+        except ValueError:
+            fh.seek(0)
+            lines = fh.read().split("\n")
     rows = [line for line in lines[1:] if line.strip()]
     if not rows:
         raise TrajectoryFormatError(f"{path}: no data rows")
@@ -211,7 +223,8 @@ def write_csv(trajectory: Trajectory, path):
 
 def _parse_timestamp(line: str) -> float:
     """Seconds from an oxts timestamp line (ISO datetime or plain float);
-    a datetime without a zone reads as UTC, whatever the local zone."""
+    a datetime without a zone reads as UTC, whatever the local zone.
+    ValueError if the line is neither."""
     text = line.strip()
     try:
         return float(text)
@@ -221,10 +234,7 @@ def _parse_timestamp(line: str) -> float:
     # fromisoformat reads only 3 or 6 fraction digits, so the fraction
     # becomes exactly 6 (trimmed to microseconds); a zone suffix stays.
     text = re.sub(r"\.(\d+)", lambda m: "." + m[1][:6].ljust(6, "0"), text)
-    try:
-        stamp = datetime.fromisoformat(text)
-    except ValueError:
-        raise TrajectoryFormatError(f"unparseable timestamp line {line!r}") from None
+    stamp = datetime.fromisoformat(text)
     return stamp.replace(tzinfo=stamp.tzinfo or timezone.utc).timestamp()
 
 
@@ -251,7 +261,13 @@ def read_oxts(directory, yaw_column: int = 5, yaw_rate_column: int = 19) -> Traj
                     if f.endswith(".txt") and f != "timestamps.txt")
     with open(ts_path, encoding="utf-8") as fh:
         lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
-    stamps = [_parse_timestamp(line) for _, line in lines]
+    stamps = []
+    for lineno, line in lines:
+        try:
+            stamps.append(_parse_timestamp(line))
+        except ValueError:
+            raise TrajectoryFormatError(
+                f"{ts_path}:{lineno}: unparseable timestamp {line.strip()!r}") from None
     if len(stamps) != len(frames):
         raise TrajectoryFormatError(
             f"{directory}: {len(frames)} data files but {len(stamps)} timestamps")

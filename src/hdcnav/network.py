@@ -16,6 +16,11 @@ The network's state is its ``rates`` array of shape ``(3, n)``: rows
 f_h, f_L and f_R. ``init_at`` with B headings adds a trailing batch axis:
 B independent networks with ``(3, n, B)`` rates, stepped together by the
 same code, each ring product then one n x B matrix product.
+
+Each network keeps one input buffer shaped like ``rates`` and two
+n-vectors (n x B for a batch), made again only when ``rates`` changes
+shape, so a step allocates no array: it runs the expressions above one
+operation at a time, in place, with the same results bit for bit.
 """
 
 from dataclasses import dataclass
@@ -99,6 +104,7 @@ class HDCNetwork:
         self._basis = np.stack((np.sin(theta), np.cos(theta)))
         self._min_magnitude = _DECODE_MAGNITUDE_FRACTION * kernel.n * NEURON.r_max
         self.rates = np.zeros((3, kernel.n))
+        self._inputs = np.empty(0)   # step buffers, made for the shape of rates
 
     def decode(self):
         """Population-vector heading of the heading layer, in [0, 2*pi).
@@ -155,10 +161,25 @@ class HDCNetwork:
             raise ValueError(f"stimulus does not match the batch shape {self.rates.shape[2:]}")
         n_steps = max(1, int(np.ceil(frame_dt / self.dt - 1e-9)))
         dt_tau = frame_dt / n_steps / NEURON.tau
+        rates = self.rates
+        if self._inputs.shape != rates.shape:
+            self._inputs = np.empty(rates.shape)
+            self._diff, self._shifted = np.empty((2,) + rates.shape[1:])
+        u, diff, shifted = self._inputs, self._diff, self._shifted
+        u_h, u_left, u_right = u
+        hdc, left, right = rates
+        recurrent, shift = self._recurrent, self._shift
         for _ in range(n_steps):
-            hdc, left, right = self.rates
-            drive = self._recurrent @ hdc
-            half = drive / 2.0
-            inputs = np.array((drive + self._shift @ (left - right),
-                               half + stim.left, half + stim.right))
-            self.rates += dt_tau * (transfer(inputs) - self.rates)
+            # The inputs of the module docstring, built in place in u.
+            recurrent.dot(hdc, out=u_h)
+            np.multiply(u_h, 0.5, out=u_left)
+            np.add(u_left, stim.right, out=u_right)
+            np.add(u_left, stim.left, out=u_left)
+            np.subtract(left, right, out=diff)
+            shift.dot(diff, out=shifted)
+            u_h += shifted
+            transfer(u, out=u)
+            # rates += dt / tau * (transfer(u) - rates)
+            u -= rates
+            u *= dt_tau
+            rates += u

@@ -40,14 +40,27 @@ class NeuronParams:
 NEURON = NeuronParams()
 
 
-def transfer(x, p: NeuronParams = NEURON):
+def transfer(x, p: NeuronParams = NEURON, out=None):
     """Sigmoid transfer from synaptic input to firing rate [Hz].
 
-    Defined for all real inputs; output lies strictly in (0, r_max).
+    Defined for all real inputs; output lies strictly in (0, r_max). A
+    scalar gives a scalar. ``out``, a float array shaped like ``x`` (``x``
+    itself is allowed), receives the rates and is returned, so a caller
+    that keeps one buffer allocates nothing; the result is the same bit
+    for bit as without it.
     """
-    z = -p.beta * (np.asarray(x, dtype=float) - p.h0)
+    x = np.asarray(x, dtype=float)
+    if out is None:
+        out = np.empty(x.shape)
+    # r_max / (1 + exp(-beta * (x - h0))), one operation at a time in out.
+    np.subtract(x, p.h0, out=out)
+    np.multiply(out, -p.beta, out=out)
     # exp overflows above ~709.78; at the clamp the rate is below 1e-306 Hz.
-    return p.r_max / (1.0 + np.exp(np.minimum(z, 709.0)))
+    np.minimum(out, 709.0, out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=out)
+    np.divide(p.r_max, out, out=out)
+    return out if out.ndim else out[()]
 
 
 def inverse_transfer(f, p: NeuronParams = NEURON):

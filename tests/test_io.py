@@ -252,7 +252,9 @@ def test_oxts_zoned_timestamps_keep_their_fraction(tmp_path):
     (["0.0", "nan", "0.02"], "timestamps.txt:2: non-finite value"),
     (["0.0", "0.02", "0.01"], "timestamps.txt:3: timestamp 0.01 not after 0.02"),
     (["0.0", "", "0.02", "0.02"], "timestamps.txt:4: timestamp 0.02 not after 0.02"),
-], ids=["nan", "decreasing", "repeated-after-blank-line"])
+    (["2011-10-03 12:55:34", "", "2011-13-03 12:55:35"],
+     "timestamps.txt:3: unparseable timestamp '2011-13-03 12:55:35'$"),
+], ids=["nan", "decreasing", "repeated-after-blank-line", "unparseable"])
 def test_oxts_bad_timestamp_names_its_line(tmp_path, stamps, error):
     frames = len([s for s in stamps if s])
     make_oxts_dir(tmp_path, yaws=[0.0] * frames, rates=[0.0] * frames, timestamps=stamps)

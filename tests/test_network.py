@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hdcnav.io import SyntheticProfile, generate
 from hdcnav.kernel import build_kernel
 from hdcnav.network import (DEFAULT_DT, SETTLE_SECONDS, DegenerateActivityError,
                             HDCNetwork, TurningStimulus, ZERO_STIMULUS)
-from hdcnav.neuron import euler_step, transfer
+from hdcnav.neuron import NEURON, euler_step, transfer
 from hdcnav.io import Trajectory
 from hdcnav.tracker import track
 
@@ -280,20 +281,94 @@ def test_off_grid_frames_keep_lap_accuracy(kernel, gain, frame_dt, jitter):
     assert abs(accumulated) < 1.0
 
 
+def _ring(weights):
+    """n x n ring connectivity from a distance-indexed kernel, no self-weight."""
+    n = len(weights)
+    mat = weights[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+    np.fill_diagonal(mat, 0.0)
+    return mat
+
+
+# -- oracle: the step as plain expressions, each making a new array -------
+
+def _expression_frame(kernel, rates, stim, frame_dt, dt=DEFAULT_DT):
+    """``run_frame`` with the sigmoid and the inputs as whole expressions.
+
+    Same operations in the same order as the buffered step, so the two
+    must agree bit for bit.
+    """
+    p = NEURON
+    recurrent, shift = _ring(kernel.h_to_h), _ring(kernel.s_to_h)
+    n_steps = max(1, int(np.ceil(frame_dt / dt - 1e-9)))
+    dt_tau = frame_dt / n_steps / p.tau
+    for _ in range(n_steps):
+        hdc, left, right = rates
+        drive = recurrent @ hdc
+        half = drive / 2.0
+        inputs = np.array((drive + shift @ (left - right),
+                           half + stim.left, half + stim.right))
+        rate = p.r_max / (1.0 + np.exp(np.minimum(-p.beta * (inputs - p.h0), 709.0)))
+        rates = rates + dt_tau * (rate - rates)
+    return rates
+
+
+def _expression_init(kernel, heading):
+    curve = kernel.curve
+    profile = curve.evaluate(np.subtract.outer(curve.preferred_directions, heading))
+    return _expression_frame(kernel, np.stack((profile, profile / 2.0, profile / 2.0)),
+                             ZERO_STIMULUS, SETTLE_SECONDS)
+
+
+def test_run_frame_is_bit_identical_to_the_expression_step(kernel):
+    # One network through single -> batch -> single states by init_at, then
+    # rates assigned directly (a new batch size, then single twice); each
+    # state runs 1, 1.05 and 10 ms frames with both stimuli non-zero.
+    rng = np.random.default_rng(21)
+    single = TurningStimulus(left=0.03, right=0.012)
+    net = HDCNetwork(kernel)
+    for start in (1.0, np.array([0.5, 2.0, 4.0]), 4.0, (2,), (), ()):
+        if isinstance(start, tuple):
+            net.rates = rng.uniform(0.0, 76.2, (3, kernel.n) + start)
+            expected = net.rates.copy()
+        else:
+            net.init_at(start)
+            expected = _expression_init(kernel, start)
+            assert np.array_equal(net.rates, expected)
+        batch = net.rates.shape[2:]
+        stim = (TurningStimulus(rng.uniform(0.01, 0.05, batch), rng.uniform(0.01, 0.05, batch))
+                if batch else single)
+        for frame_dt in (0.001, 0.00105, 0.010):
+            net.run_frame(stim, frame_dt)
+            expected = _expression_frame(kernel, expected, stim, frame_dt)
+            assert np.array_equal(net.rates, expected)
+
+
+def test_run_frame_allocates_no_array(kernel):
+    # Python's allocator sees every numpy array. A frame's traced peak stays
+    # below one (3, n) input array and does not grow with the batch size.
+    peaks = []
+    for heading in (0.0, np.zeros(20)):
+        net = HDCNetwork(kernel)
+        net.init_at(heading)
+        stim = TurningStimulus(left=0.03, right=0.01)
+        net.run_frame(stim, 0.01)
+        tracemalloc.start()
+        try:
+            net.run_frame(stim, 0.01)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 3 * 8 * kernel.n
+    assert peaks[1] < peaks[0] + 8 * kernel.n
+
+
 # -- oracle: the 3n x 3n block-matrix form of the same dynamics ---------
 
 def _block_matrix(kernel):
     """Connectivity over the stacked state [hdc, shift_left, shift_right]."""
     n = kernel.n
-    distance = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-
-    def ring(weights):
-        mat = weights[distance]
-        np.fill_diagonal(mat, 0.0)
-        return mat
-
-    w, w_shift = ring(kernel.h_to_h), ring(kernel.s_to_h)
-    half, zero = ring(kernel.h_to_h / 2.0), np.zeros((n, n))
+    w, w_shift = _ring(kernel.h_to_h), _ring(kernel.s_to_h)
+    half, zero = _ring(kernel.h_to_h / 2.0), np.zeros((n, n))
     return np.block([[w, w_shift, -w_shift],
                      [half, zero, zero],
                      [half, zero, zero]])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hdcnav.neuron import NeuronParams, euler_step, inverse_transfer, transfer
+from hdcnav.neuron import NEURON, NeuronParams, euler_step, inverse_transfer, transfer
 
 
 def test_baseline_rate_at_zero_input():
@@ -22,6 +22,39 @@ def test_transfer_range_and_monotonicity():
 def test_transfer_midpoint():
     p = NeuronParams()
     assert transfer(p.h0) == pytest.approx(p.r_max / 2.0, rel=1e-12)
+
+
+def sigmoid_expression(x, p=NEURON):
+    """The transfer function as one expression of new arrays: the reference."""
+    z = -p.beta * (np.asarray(x, dtype=float) - p.h0)
+    return p.r_max / (1.0 + np.exp(np.minimum(z, 709.0)))
+
+
+@pytest.mark.parametrize("p", [NEURON, NeuronParams(beta=0.5, h0=-1.0)])
+@pytest.mark.parametrize("shape", [(3, 100), (3, 100, 3)])
+def test_transfer_into_out_is_bit_identical(p, shape):
+    # The clamp region (-1.7e308 and the other very negative inputs), the
+    # far positive side and the slope, bit for bit, with and without out.
+    edges = [-1.7e308, -1e4, -870.0, -866.0, 0.0, p.h0, 1e4, 1.7e308]
+    size = math.prod(shape)
+    x = np.concatenate((edges, np.random.default_rng(3).normal(
+        p.h0, 20.0, size - len(edges)))).reshape(shape)
+    expected = sigmoid_expression(x, p)
+    assert np.array_equal(transfer(x, p), expected)
+    out = np.empty(shape)
+    assert transfer(x, p, out=out) is out
+    assert np.array_equal(out, expected)
+    assert transfer(x, p, out=x) is x
+    assert np.array_equal(x, expected)
+
+
+@pytest.mark.parametrize("x", [0.0, 2.46, -1.7e308, 1e4, 5, np.float64(-3.5),
+                               np.array(1.25)])
+def test_transfer_scalar_results_unchanged(x):
+    expected = sigmoid_expression(x)
+    got = transfer(x)
+    assert type(got) is type(expected) is np.float64
+    assert got == expected
 
 
 def test_inverse_round_trip():
