@@ -150,8 +150,9 @@ def _numbered_rows(lines):
 
 
 def _bad_line_error(path, lines, width: int) -> TrajectoryFormatError:
-    """Name the first data line that fails to parse on its own."""
-    for lineno, line in _numbered_rows(lines):
+    """Name the first data line that fails to parse on its own, if any."""
+    rows = _numbered_rows(lines)
+    for lineno, line in rows:
         fields = len(next(csv.reader([line])))
         if fields != width:
             return TrajectoryFormatError(
@@ -160,7 +161,8 @@ def _bad_line_error(path, lines, width: int) -> TrajectoryFormatError:
             _parse_rows([line], width)
         except ValueError:
             return TrajectoryFormatError(f"{path}:{lineno}: cannot parse row {line!r}")
-    return TrajectoryFormatError(f"{path}: cannot parse the data rows")
+    return TrajectoryFormatError(
+        f"{path}: {'cannot parse the data rows' if rows else 'no data rows'}")
 
 
 def read_csv(path) -> Trajectory:
@@ -168,7 +170,8 @@ def read_csv(path) -> Trajectory:
 
     Each data row has exactly the header's fields. A blank truth cell
     means the sample has no truth; blank and whitespace-only lines are
-    skipped. Every error on a data row names its ``path:line``.
+    skipped. The rows are parsed in one ``np.loadtxt`` pass; the file is
+    read again line by line only to name the ``path:line`` of an error.
     """
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
@@ -179,30 +182,20 @@ def read_csv(path) -> Trajectory:
         if cols not in (["t", "omega"], ["t", "omega", "truth"]):
             raise TrajectoryFormatError(
                 f"{path}: header must be 't,omega[,truth]', got {','.join(header)!r}")
-        # The rows straight from the file, with no copy of its text. Any
-        # fault, a whitespace-only line or no data row at all included,
-        # takes the line-by-line path below, which skips blank lines and
-        # names the line at fault.
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                         UserWarning)
-                return Trajectory(*_parse_rows(fh, len(cols)).T)
+                data = _parse_rows(filter(str.strip, fh), len(cols))
         except ValueError:
             fh.seek(0)
-            lines = fh.read().split("\n")
-    rows = [line for line in lines[1:] if line.strip()]
-    if not rows:
-        raise TrajectoryFormatError(f"{path}: no data rows")
-    try:
-        data = _parse_rows(rows, len(cols))
-    except ValueError:
-        raise _bad_line_error(path, lines, len(cols)) from None
-    try:
-        return Trajectory(*data.T)
-    except TrajectoryFormatError as exc:
-        lineno = _numbered_rows(lines)[exc.sample][0]
-        raise TrajectoryFormatError(f"{path}:{lineno}: {exc.reason}") from None
+            raise _bad_line_error(path, fh.read().split("\n"), len(cols)) from None
+        try:
+            return Trajectory(*data.T)
+        except TrajectoryFormatError as exc:
+            fh.seek(0)
+            lineno = _numbered_rows(fh.read().split("\n"))[exc.sample][0]
+            raise TrajectoryFormatError(f"{path}:{lineno}: {exc.reason}") from None
 
 
 def write_csv(trajectory: Trajectory, path):
@@ -242,11 +235,13 @@ def read_oxts(directory, yaw_column: int = 5, yaw_rate_column: int = 19) -> Traj
     """Read an oxts-style directory into a Trajectory.
 
     Expects per-frame whitespace-separated numeric files (in ``data/`` or
-    directly in the directory) and a ``timestamps.txt`` with one line per
-    frame. The yaw rate in field ``yaw_rate_column`` becomes omega and the
-    yaw in field ``yaw_column`` the ground truth; the defaults are KITTI's
-    yaw and wz fields. A bad timestamp names its ``timestamps.txt`` line,
-    a bad yaw or yaw rate its data file.
+    directly in the directory), ordered by name length and then name, so
+    numeric names are in numeric order, zero-padded or not, and a
+    ``timestamps.txt`` with one line per frame. The yaw rate in field
+    ``yaw_rate_column`` becomes omega and the yaw in field ``yaw_column``
+    the ground truth; the defaults are KITTI's yaw and wz fields. A bad
+    timestamp names its ``timestamps.txt`` line, a bad yaw or yaw rate its
+    data file.
     """
     if min(yaw_column, yaw_rate_column) < 0 or yaw_column == yaw_rate_column:
         raise ValueError("yaw and yaw-rate columns must be distinct and non-negative, "
@@ -257,8 +252,8 @@ def read_oxts(directory, yaw_column: int = 5, yaw_rate_column: int = 19) -> Traj
     data_dir = os.path.join(directory, "data")
     if not os.path.isdir(data_dir):
         data_dir = directory
-    frames = sorted(f for f in os.listdir(data_dir)
-                    if f.endswith(".txt") and f != "timestamps.txt")
+    frames = sorted((f for f in os.listdir(data_dir) if f.endswith(".txt")
+                     and f != "timestamps.txt"), key=lambda f: (len(f), f))
     with open(ts_path, encoding="utf-8") as fh:
         lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
     stamps = []

@@ -9,8 +9,8 @@ synaptic inputs are
 where f are the layers' firing rates and s the turning stimuli. Each
 Euler step therefore costs two n x n ring products, ``W f_h`` (shared by
 all three layers) and ``gamma W' (f_L - f_R)``, plus one transfer-function
-evaluation. Self-connections (cell distance 0) carry no weight. The
-default step ``DEFAULT_DT`` is 1 ms, so a 10 ms frame is 10 steps.
+evaluation. Self-connections (cell distance 0) carry no weight. Every
+step is ``DEFAULT_DT``, 1 ms, so a 10 ms frame is 10 steps.
 
 The network's state is its ``rates`` array of shape ``(3, n)``: rows
 f_h, f_L and f_R. ``init_at`` with B headings adds a trailing batch axis:
@@ -40,8 +40,8 @@ TWO_PI = 2.0 * np.pi
 # still change by up to 1.5 Hz from 0.5 to 1.0 s and 0.14 Hz from 2.5 to
 # 4.5 s, counted from the start of the relaxation.
 SETTLE_SECONDS = 0.5
-# Euler step [s], tau/20: a 10 ms frame is 10 steps. A calibration holds
-# only at the step it was made at (see ``calibration``).
+# The network's one Euler step [s], tau/20: a 10 ms frame is 10 steps. A
+# calibration holds only at the step it was made at (see ``calibration``).
 DEFAULT_DT = 0.001
 
 # Fraction of n * r_max below which the population vector is considered
@@ -92,12 +92,9 @@ class HDCNetwork:
     built from is immutable and may be shared.
     """
 
-    def __init__(self, kernel: WeightKernel, dt: float = DEFAULT_DT):
-        if not 0.0 < dt <= NEURON.max_dt:
-            raise ValueError(f"dt must be in (0, {NEURON.max_dt}], got {dt}")
+    def __init__(self, kernel: WeightKernel):
         self.kernel = kernel
         self.params = NEURON   # the neuron model, for callers that evaluate it
-        self.dt = dt
         self._recurrent = _projection(kernel.h_to_h)
         self._shift = _projection(kernel.s_to_h)
         theta = kernel.curve.preferred_directions
@@ -105,6 +102,11 @@ class HDCNetwork:
         self._min_magnitude = _DECODE_MAGNITUDE_FRACTION * kernel.n * NEURON.r_max
         self.rates = np.zeros((3, kernel.n))
         self._inputs = np.empty(0)   # step buffers, made for the shape of rates
+
+    @property
+    def dt(self) -> float:
+        """The Euler step, always ``DEFAULT_DT`` (read-only)."""
+        return DEFAULT_DT
 
     def decode(self):
         """Population-vector heading of the heading layer, in [0, 2*pi).
@@ -145,21 +147,22 @@ class HDCNetwork:
         self.run_frame(ZERO_STIMULUS, SETTLE_SECONDS)
 
     def step(self, stim: TurningStimulus = ZERO_STIMULUS):
-        """Advance all three layers by one Euler step of ``dt``."""
-        self.run_frame(stim, self.dt)
+        """Advance all three layers by one Euler step of ``DEFAULT_DT``."""
+        self.run_frame(stim, DEFAULT_DT)
 
     def run_frame(self, stim: TurningStimulus, frame_dt: float):
         """Hold ``stim`` constant for exactly ``frame_dt`` seconds.
 
-        The frame is split into the fewest equal Euler sub-steps no longer
-        than ``dt``, so frames off the ``dt`` grid are not over-integrated;
-        a frame shorter than ``dt`` is one sub-step of its own length.
+        The frame runs as the fewest equal Euler sub-steps no longer than
+        ``DEFAULT_DT``, so a frame off that grid is not over-integrated and
+        a shorter one is one sub-step of its own length: a finer step is a
+        frame cut into equal slices no longer than ``DEFAULT_DT``.
         """
         if not 0.0 < frame_dt < np.inf:
             raise ValueError(f"frame_dt must be positive and finite, got {frame_dt}")
         if {np.shape(stim.left), np.shape(stim.right)} - {(), self.rates.shape[2:]}:
             raise ValueError(f"stimulus does not match the batch shape {self.rates.shape[2:]}")
-        n_steps = max(1, int(np.ceil(frame_dt / self.dt - 1e-9)))
+        n_steps = max(1, int(np.ceil(frame_dt / DEFAULT_DT - 1e-9)))
         dt_tau = frame_dt / n_steps / NEURON.tau
         rates = self.rates
         if self._inputs.shape != rates.shape:

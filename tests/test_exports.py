@@ -1,4 +1,7 @@
+import ast
 import importlib
+import importlib.util
+import pathlib
 import pkgutil
 import types
 
@@ -21,3 +24,31 @@ def test_package_reexports_are_public():
              if not name.startswith("_") and not isinstance(value, types.ModuleType)
              and name not in importlib.import_module(value.__module__).__all__]
     assert stale == []
+
+
+def _benchmark_imports():
+    """(file, module, name) of each import from hdcnav in perfbench/*.py;
+    name is None for a plain ``import``."""
+    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    for path in sorted(perfbench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                yield from ((path.name, node.module, a.name) for a in node.names)
+            elif isinstance(node, ast.Import):
+                yield from ((path.name, a.name, None) for a in node.names)
+
+
+def _resolves(module, name):
+    """Whether ``import module`` or ``from module import name`` would work."""
+    if name is None:
+        return importlib.util.find_spec(module) is not None
+    return (hasattr(importlib.import_module(module), name)
+            or importlib.util.find_spec(f"{module}.{name}") is not None)
+
+
+def test_benchmark_imports_resolve():
+    # The benchmark runs against this package, so removing a name it
+    # imports fails here rather than in a benchmark run.
+    imports = [i for i in _benchmark_imports() if i[1].split(".")[0] == "hdcnav"]
+    assert imports
+    assert [i for i in imports if not _resolves(*i[1:])] == []

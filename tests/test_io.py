@@ -95,6 +95,22 @@ def test_csv_malformed_inputs(tmp_path, content, fragment):
         read_csv(path)
 
 
+def test_csv_valid_file_is_one_parse(tmp_path, monkeypatch):
+    # Blank and whitespace-only lines too take the single loadtxt pass.
+    calls, loadtxt = [], np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    path = tmp_path / "traj.csv"
+    path.write_text("t,omega,truth\n0,1,\n\n \t\n1,2,3\n  \n")
+    traj = read_csv(path)
+    assert traj.t.tolist() == [0.0, 1.0] and traj.truth[1] == 3.0
+    assert len(calls) == 1
+
+
 def test_csv_error_mentions_line_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,omega\n0,0\n1,oops\n")
@@ -173,6 +189,16 @@ def test_oxts_reads_yaw_and_rate(tmp_path):
     assert [r.omega for r in records] == pytest.approx([0.01, 0.02, 0.03])
     # yaw wrapped into [0, 2*pi)
     assert records[2].truth == pytest.approx(-0.3 % (2 * math.pi))
+
+
+def test_oxts_unpadded_frames_replay_in_numeric_order(tmp_path):
+    # As text, 10.txt and 11.txt sort between 1.txt and 2.txt.
+    rates = [0.01 * i for i in range(12)]
+    make_oxts_dir(tmp_path, yaws=[0.0] * 12, rates=rates)
+    data = tmp_path / "data"
+    for i in range(12):
+        (data / f"{i:010d}.txt").rename(data / f"{i}.txt")
+    assert read_oxts(tmp_path).omega.tolist() == pytest.approx(rates)
 
 
 def test_oxts_custom_layout(tmp_path):
