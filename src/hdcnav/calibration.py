@@ -12,13 +12,13 @@ records its hash and the step ``dt`` the sweep ran at, and a load
 refuses a file made for another kernel or another step.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import WeightKernel, check_fields, kernel_hash
+from .io import read_json, write_json
+from .kernel import WeightKernel, kernel_hash
 from .network import DEFAULT_DT, HDCNetwork, TurningStimulus
 
 __all__ = ["StimulusGain", "SweepSample", "sweep", "fit_gain",
@@ -38,9 +38,6 @@ _LINEAR_RESIDUAL_FRACTION = 0.05
 
 _MIN_FIT_R2 = 0.99
 _MIN_FIT_SAMPLES = 5
-
-# The step of calibration files written before they recorded one.
-_UNRECORDED_DT = 0.0005
 
 
 class GainFitError(RuntimeError):
@@ -160,39 +157,26 @@ def fit_gain(samples, kernel: WeightKernel) -> StimulusGain:
 
 
 def save_calibration(gain: StimulusGain, path):
-    doc = {
-        "alpha": gain.alpha,
-        "fit_r2": gain.fit_r2,
-        "max_velocity": gain.max_velocity,
-        "kernel_hash": gain.kernel_hash,
-        "dt": DEFAULT_DT,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    """Write the gain's fields and the step ``DEFAULT_DT`` as its ``dt``."""
+    write_json({**vars(gain), "dt": DEFAULT_DT}, path)
 
 
 def load_calibration(path, kernel: WeightKernel) -> StimulusGain:
     """Load a calibration file made for ``kernel`` at the step
-    ``DEFAULT_DT``, refusing one built for a different kernel or step (a
-    file without ``dt`` was made at 0.5 ms); a malformed one raises
-    ValueError naming the file and the missing, mistyped or out-of-range
-    keys before any step or hash is compared."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    check_fields(doc, {"alpha": float, "fit_r2": float, "max_velocity": float,
-                       "kernel_hash": str}, path)
+    ``DEFAULT_DT``, refusing one built for a different kernel or step; a
+    malformed one raises ValueError naming the file and the missing,
+    mistyped or out-of-range keys before any step or hash is compared."""
+    doc = read_json(path, {"alpha": float, "fit_r2": float, "max_velocity": float,
+                           "kernel_hash": str, "dt": float})
     # fit_gain writes alpha = 1/slope > 0 and a max_velocity of 0 or more.
     if doc["alpha"] <= 0.0:
         raise ValueError(f"{path}: 'alpha' must be positive, got {doc['alpha']!r}")
     if doc["max_velocity"] < 0.0:
         raise ValueError(f"{path}: 'max_velocity' must be >= 0, "
                          f"got {doc['max_velocity']!r}")
-    dt = doc.get("dt", _UNRECORDED_DT)
-    check_fields({"dt": dt}, {"dt": float}, path)
-    if dt != DEFAULT_DT:
+    if doc["dt"] != DEFAULT_DT:
         raise CalibrationMismatchError(
-            f"{path}: calibration was made at an Euler step of {dt * 1e3:g} ms, "
+            f"{path}: calibration was made at an Euler step of {doc['dt'] * 1e3:g} ms, "
             f"but the network steps at {DEFAULT_DT * 1e3:g} ms; "
             "re-run `hdcnav calibrate`")
     gain = StimulusGain(alpha=doc["alpha"], fit_r2=doc["fit_r2"],

@@ -12,7 +12,6 @@ success, 1 validation/invariant failure, 2 I/O or usage error.
 """
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -23,7 +22,8 @@ from . import __version__
 from .calibration import fit_gain, load_calibration, save_calibration, sweep
 from .kernel import TuningCurve, build_kernel, kernel_hash, load_kernel, save_kernel
 from .network import DegenerateActivityError, HDCNetwork
-from .io import SyntheticProfile, generate, read_csv, read_oxts, write_csv
+from .io import (SyntheticProfile, generate, read_csv, read_oxts, write_csv,
+                 write_json, write_table)
 from .tracker import benchmark, track
 
 # Table-stakes reference for the latency report: mean per-frame compute
@@ -86,12 +86,10 @@ def cmd_calibrate(args):
     gain = fit_gain(samples, kernel=kernel)
     save_calibration(gain, args.out)
     if args.sweep_csv:
-        with open(args.sweep_csv, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["stimulus", "velocity", "degenerate"])
-            for s in samples:
-                writer.writerow([f"{s.stimulus:.9g}", f"{s.velocity:.9g}",
-                                 int(s.degenerate)])
+        write_table(args.sweep_csv, ("stimulus", "velocity", "degenerate"),
+                    ([s.stimulus for s in samples], [s.velocity for s in samples],
+                     [s.degenerate for s in samples]),
+                    ("{:.9g}", "{:.9g}", "{:g}"))
     print(f"alpha={gain.alpha:.6f} fit_r2={gain.fit_r2:.6f} "
           f"max_velocity={math.degrees(gain.max_velocity):.1f} deg/s -> {args.out}")
     return EXIT_OK
@@ -115,9 +113,7 @@ def cmd_track(args):
 def cmd_bench(args):
     kernel, gain, trajectory = _load_replay(args)
     stats = benchmark(trajectory, kernel, gain, **_given(args, "repetitions"))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(vars(stats), fh, indent=1)
-        fh.write("\n")
+    write_json(vars(stats), args.out)
     print(f"frames={stats.frame_count} mean={stats.mean_ms:.3f} ms "
           f"median={stats.median_ms:.3f} ms max={stats.max_ms:.3f} ms "
           f"over-budget={stats.pct_over_10ms:.2f}%")

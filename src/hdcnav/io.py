@@ -1,4 +1,10 @@
-"""Trajectory ingestion and synthetic trajectory generation.
+"""The program's file boundary: trajectories, JSON documents and tables.
+
+Every file the program reads or writes is opened here, and this module
+imports no other hdcnav module. ``read_json`` (which checks a document's
+fields) and ``write_json`` handle the kernel, calibration, report and
+bench documents; ``write_table`` writes every CSV, with one rule: a NaN
+cell is blank.
 
 A trajectory is one frozen ``Trajectory`` of three numpy columns: sample
 times ``t`` [s], yaw rate ``omega`` [rad/s] and ground-truth yaw
@@ -12,6 +18,7 @@ seeded white gyro noise on its yaw rate, none by default.
 """
 
 import csv
+import json
 import math
 import os
 import re
@@ -24,9 +31,69 @@ import numpy as np
 
 __all__ = ["Trajectory", "TrajectoryRecord", "SyntheticProfile",
            "read_csv", "write_csv", "read_oxts", "generate",
-           "TrajectoryFormatError"]
+           "TrajectoryFormatError", "read_json", "write_json", "write_table",
+           "check_fields", "wrap_heading"]
 
 TWO_PI = 2.0 * math.pi
+
+# Rows that ``write_table`` and ``TrackingReport.per_sample`` handle at once.
+ROWS_PER_CHUNK = 4096
+
+
+def wrap_heading(angle):
+    """Elementwise ``angle`` mod 2*pi in [0, 2*pi); ``%`` alone can give 2*pi."""
+    angle = angle % TWO_PI
+    return angle * (angle < TWO_PI)
+
+
+# -- JSON documents and CSV tables ---------------------------------------
+
+def check_fields(doc, fields, where):
+    """Refuse a JSON value that is not an object holding each key of
+    ``fields`` with a value of the type the key maps to. A float field
+    takes any finite number; true and false are no number."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    missing = [key for key in fields if key not in doc]
+    if missing:
+        raise ValueError(f"{where}: missing {', '.join(map(repr, missing))}")
+    for key, kind in fields.items():
+        value = doc[key]
+        ok = (isinstance(value, (int, float)) and math.isfinite(value) if kind is float
+              else isinstance(value, kind))
+        if not ok or isinstance(value, bool):
+            raise ValueError(f"{where}: {key!r} must be of type {kind.__name__}, "
+                             f"got {value!r:.40}")
+
+
+def read_json(path, fields) -> dict:
+    """The JSON object in ``path`` if ``check_fields`` finds ``fields`` in it;
+    a file that is not JSON raises ``json.JSONDecodeError``."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    check_fields(doc, fields, path)
+    return doc
+
+
+def write_json(doc, path):
+    """Write ``doc`` as JSON: UTF-8, LF endings, indent 1, a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def write_table(path, header, columns, formats):
+    """Write ``header`` and then row k of the equal-length numeric ``columns``
+    as CSV (UTF-8, LF endings), each cell a float formatted by its field in
+    ``formats`` (e.g. ``"{:.9g}"``), blank where it is NaN. A chunk of
+    ``ROWS_PER_CHUNK`` rows is copied out at a time, a row formatted at a time."""
+    row = ",".join(formats) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), ROWS_PER_CHUNK):
+            chunk = np.column_stack([c[start:start + ROWS_PER_CHUNK] for c in columns])
+            # Only a NaN cell's text holds "nan" ("inf" does not), so this blanks those.
+            fh.writelines(row.format(*cells.tolist()).replace("nan", "") for cells in chunk)
 
 
 class TrajectoryFormatError(ValueError):
@@ -200,16 +267,10 @@ def read_csv(path) -> Trajectory:
 
 def write_csv(trajectory: Trajectory, path):
     """Write a trajectory in the canonical CSV schema (UTF-8, LF endings)."""
-    has_truth = not np.isnan(trajectory.truth).all()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "omega", "truth"] if has_truth else ["t", "omega"])
-        for t, omega, truth in zip(trajectory.t.tolist(), trajectory.omega.tolist(),
-                                   trajectory.truth.tolist()):
-            row = [f"{t:.9g}", f"{omega:.12g}"]
-            if has_truth:
-                row.append("" if math.isnan(truth) else f"{truth:.12g}")
-            writer.writerow(row)
+    width = 2 if np.isnan(trajectory.truth).all() else 3
+    write_table(path, ("t", "omega", "truth")[:width],
+                (trajectory.t, trajectory.omega, trajectory.truth)[:width],
+                ("{:.9g}", "{:.12g}", "{:.12g}")[:width])
 
 
 # -- oxts directories ---------------------------------------------------
@@ -291,7 +352,7 @@ def read_oxts(directory, yaw_column: int = 5, yaw_rate_column: int = 19) -> Traj
             raise TrajectoryFormatError(f"{path}: non-finite yaw")
     try:
         return Trajectory(np.array(stamps) - stamps[0], rates,
-                          np.array(yaws) % TWO_PI)
+                          wrap_heading(np.array(yaws)))
     except TrajectoryFormatError as exc:
         path = os.path.join(data_dir, frames[exc.sample])
         raise TrajectoryFormatError(f"{path}: {exc.reason}") from None
@@ -332,6 +393,12 @@ def _maze_segments(omega_max: float, duration: float):
     return segments
 
 
+def _frame_times(duration: float, frame_dt: float) -> np.ndarray:
+    """Multiples of ``frame_dt`` from 0 up to ``duration`` (within 1e-12 s)."""
+    ts = np.arange(int(round(duration / frame_dt)) + 1) * frame_dt
+    return ts[ts <= duration + 1e-12]
+
+
 def _sample_segments(segments, frame_dt: float):
     """Sample piecewise-constant omega at the frame times.
 
@@ -342,10 +409,7 @@ def _sample_segments(segments, frame_dt: float):
     """
     boundaries = np.cumsum([0.0] + [d for d, _ in segments])
     omegas = np.array([w for _, w in segments])
-    total = boundaries[-1]
-    n = int(round(total / frame_dt))
-    ts = np.arange(n + 1) * frame_dt
-    ts = ts[ts <= total + 1e-12]
+    ts = _frame_times(boundaries[-1], frame_dt)
     # A sample at a boundary (within 1e-12 s) takes the later segment's omega.
     omega_out = omegas[np.searchsorted(boundaries[1:-1] - 1e-12, ts, side="right")]
     return ts, omega_out, cumulative_trapezoid(ts, omega_out)
@@ -354,8 +418,7 @@ def _sample_segments(segments, frame_dt: float):
 def generate(profile: SyntheticProfile) -> Trajectory:
     """Generate a trajectory with closed-form exact truth headings."""
     if profile.kind == "constant_rotation":
-        n = int(round(profile.duration / profile.frame_dt))
-        ts = np.arange(n + 1) * profile.frame_dt
+        ts = _frame_times(profile.duration, profile.frame_dt)
         omega = np.full(len(ts), profile.omega_max)
         truth = profile.omega_max * ts
     else:  # balanced_maze
@@ -363,4 +426,4 @@ def generate(profile: SyntheticProfile) -> Trajectory:
         ts, omega, truth = _sample_segments(segments, profile.frame_dt)
     # Noise on omega only, so truth stays the clean path's; sigma 0 adds zeros.
     noise = np.random.default_rng(profile.seed).normal(0.0, profile.noise_sigma, len(ts))
-    return Trajectory(ts, omega + noise, truth % TWO_PI)
+    return Trajectory(ts, omega + noise, wrap_heading(truth))

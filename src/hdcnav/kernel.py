@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .io import check_fields, read_json, write_json
 from .neuron import NEURON, inverse_transfer
 
 __all__ = [
@@ -189,47 +190,20 @@ def _kernel_document(kernel: WeightKernel) -> dict:
 
 def save_kernel(kernel: WeightKernel, path):
     """Write the kernel's synthesis parameters as a versioned JSON document."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_kernel_document(kernel), fh, indent=1)
-        fh.write("\n")
-
-
-def check_fields(doc, fields, where):
-    """Refuse a JSON value that is not an object holding each key of
-    ``fields`` with a value of the type the key maps to. A float field
-    takes any finite number; true and false are no number."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
-    missing = [key for key in fields if key not in doc]
-    if missing:
-        raise ValueError(f"{where}: missing {', '.join(map(repr, missing))}")
-    for key, kind in fields.items():
-        value = doc[key]
-        if kind is float:
-            ok = isinstance(value, (int, float)) and math.isfinite(value)
-        else:
-            ok = isinstance(value, kind)
-        if not ok or isinstance(value, bool):
-            raise ValueError(f"{where}: {key!r} must be of type {kind.__name__}, "
-                             f"got {value!r:.40}")
+    write_json(_kernel_document(kernel), path)
 
 
 def load_kernel(path) -> WeightKernel:
     """Build the kernel whose parameters a file written by
     :func:`save_kernel` holds. Weight vectors in older files are not read.
-    A malformed file raises ValueError naming the file and the key at
-    fault."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    check_fields(doc, {}, path)
-    version = doc.get("version")
-    if version == 1:
+    A file of another version, or a malformed one, raises ValueError
+    naming the file (and the key at fault)."""
+    doc = read_json(path, {})
+    if doc.get("version") != _KERNEL_FORMAT_VERSION:
         raise ValueError(
-            "kernel file version 1 is no longer supported; regenerate the "
-            "kernel with `hdcnav synthesize` and its calibration with "
-            "`hdcnav calibrate`")
-    if version != _KERNEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported kernel file version: {version!r}")
+            f"{path}: unsupported kernel file version {doc.get('version')!r}; "
+            "regenerate the kernel with `hdcnav synthesize` and its calibration "
+            "with `hdcnav calibrate`")
     check_fields(doc, {"n": int, "lambda": float, "gamma": float, "curve": dict}, path)
     c = doc["curve"]
     check_fields(c, {"a": float, "b": float, "m": float}, f"{path}: 'curve'")

@@ -27,13 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io import wrap_heading
 from .kernel import WeightKernel
 from .neuron import NEURON, transfer
 
-__all__ = ["TurningStimulus", "HDCNetwork", "wrap_heading",
-           "DegenerateActivityError"]
+__all__ = ["TurningStimulus", "HDCNetwork", "DegenerateActivityError"]
 
-TWO_PI = 2.0 * np.pi
 # 25 tau of zero-stimulus relaxation before a replay or sweep. It fixes the
 # bump's position (it then moves about 1e-14 rad in the next 10 s) but not
 # its shape: with the default kernel the heading-layer rates (peak 73 Hz)
@@ -76,12 +75,6 @@ def _projection(weights: np.ndarray) -> np.ndarray:
     mat = weights[(idx[None, :] - idx[:, None]) % len(weights)]   # d(i, j) = (j - i) mod n
     np.fill_diagonal(mat, 0.0)
     return mat
-
-
-def wrap_heading(angle):
-    """Elementwise ``angle`` mod 2*pi in [0, 2*pi); ``%`` alone can give 2*pi."""
-    angle = angle % TWO_PI
-    return angle * (angle < TWO_PI)
 
 
 class HDCNetwork:

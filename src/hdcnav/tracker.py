@@ -10,8 +10,6 @@ baseline, errors and summaries are computed once over whole columns.
 chunk at a time by a single-pass iterator.
 """
 
-import csv
-import json
 import math
 import time
 from collections.abc import Iterator
@@ -20,20 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import StimulusGain
-from .io import Trajectory, cumulative_trapezoid
+from .io import (ROWS_PER_CHUNK, TWO_PI, Trajectory, cumulative_trapezoid,
+                 wrap_heading, write_json, write_table)
 from .kernel import WeightKernel
-from .network import HDCNetwork, TurningStimulus, wrap_heading
+from .network import HDCNetwork, TurningStimulus
 
 __all__ = ["SampleResult", "TimingStats", "TrackingReport", "track",
            "baseline_integrate", "wrapped_error", "benchmark"]
 
-TWO_PI = 2.0 * math.pi
-
 # 100 Hz real-time budget per frame.
 _FRAME_BUDGET_MS = 10.0
-
-# Rows that ``TrackingReport.per_sample`` builds at once.
-_ROWS_PER_CHUNK = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,8 +84,8 @@ class TrackingReport:
         A single-pass iterator that builds the rows a bounded chunk at a
         time; take ``list(report.per_sample)`` to walk them twice.
         """
-        for start in range(0, len(self.t), _ROWS_PER_CHUNK):
-            part = slice(start, start + _ROWS_PER_CHUNK)
+        for start in range(0, len(self.t), ROWS_PER_CHUNK):
+            part = slice(start, start + ROWS_PER_CHUNK)
             yield from map(SampleResult, self.t[part].tolist(),
                            self.decoded[part].tolist(), self.baseline[part].tolist(),
                            _or_none(self.truth[part]), _or_none(self.error_deg[part]),
@@ -99,27 +93,20 @@ class TrackingReport:
                            self.omega_out_of_range[part].tolist())
 
     def to_json(self, path):
-        doc = {
+        write_json({
             "mean_error_deg": self.mean_error_deg,
             "max_error_deg": self.max_error_deg,
             "min_error_deg": self.min_error_deg,
             "timing": vars(self.timing),
             "samples": len(self.t),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        }, path)
 
     def to_csv(self, path):
-        rows = np.column_stack((self.t, self.omega, self.decoded, self.baseline,
-                                self.truth, self.error_deg, self.baseline_error_deg))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "omega", "decoded", "baseline", "truth",
-                             "err_hdc", "err_baseline"])
-            for row in rows:
-                writer.writerow(["" if math.isnan(v) else f"{v:.9g}"
-                                 for v in row.tolist()])
+        write_table(path, ("t", "omega", "decoded", "baseline", "truth",
+                           "err_hdc", "err_baseline"),
+                    (self.t, self.omega, self.decoded, self.baseline,
+                     self.truth, self.error_deg, self.baseline_error_deg),
+                    ("{:.9g}",) * 7)
 
 
 def _or_none(column) -> list:

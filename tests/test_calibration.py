@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -173,16 +174,20 @@ def test_calibration_records_its_step(tmp_path, kernel, gain):
     assert load_calibration(path, kernel) == gain
 
 
-@pytest.mark.parametrize("dt, made_at", [(None, "0.5 ms"), (0.0005, "0.5 ms"),
+@pytest.mark.parametrize("dt, made_at", [(None, None), (0.0005, "0.5 ms"),
                                          (0.002, "2 ms")],
                          ids=["unrecorded", "0.5ms", "2ms"])
 def test_load_refuses_calibration_of_another_step(tmp_path, kernel, gain, dt, made_at):
-    # A file without "dt" predates the field and was made at 0.5 ms steps.
+    # A file without "dt" records no step, so it is refused as malformed.
     path = tmp_path / "calibration.json"
     save_calibration(gain, path)
     doc = json.loads(path.read_text())
     del doc["dt"]
     path.write_text(json.dumps(doc if dt is None else {**doc, "dt": dt}))
+    if dt is None:
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing 'dt'") + "$"):
+            load_calibration(path, kernel)
+        return
     with pytest.raises(CalibrationMismatchError) as info:
         load_calibration(path, kernel)
     message = str(info.value)

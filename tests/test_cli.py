@@ -109,6 +109,17 @@ def test_calibrate_custom_stimuli(tmp_path, kernel_file):
         pytest.approx([0.02, 0.03, 0.04, 0.05, 0.06])
 
 
+def test_calibrate_sweep_csv_blanks_a_collapsed_level(tmp_path, kernel_file):
+    # The bump collapses at 2.0: its velocity is NaN, written as a blank cell.
+    table = tmp_path / "sweep.csv"
+    assert main(["calibrate", "--kernel", kernel_file,
+                 "--stimuli", "0.02,0.03,0.04,0.05,0.06,2.0", "--duration", "2",
+                 "--out", str(tmp_path / "calib.json"), "--sweep-csv", str(table)]) == 0
+    rows = table.read_text().splitlines()
+    assert rows[-1] == "2,,1"
+    assert [r.split(",")[2] for r in rows[1:-1]] == ["0"] * 5
+
+
 def test_bench_reports_reference(tmp_path, kernel_file, calibration_file,
                                  capsys):
     traj = tmp_path / "traj.csv"

@@ -52,3 +52,21 @@ def test_benchmark_imports_resolve():
     imports = [i for i in _benchmark_imports() if i[1].split(".")[0] == "hdcnav"]
     assert imports
     assert [i for i in imports if not _resolves(*i[1:])] == []
+
+
+def test_only_io_opens_files():
+    # io is the one file boundary: no other module opens a file or writes CSV.
+    src = pathlib.Path(hdcnav.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "io.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                found.append((path.name, "open"))
+            elif isinstance(node, ast.Import):
+                found += [(path.name, a.name) for a in node.names if a.name == "csv"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+                found.append((path.name, "csv"))
+    assert found == []

@@ -1,13 +1,14 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdcnav.io import (SyntheticProfile, Trajectory,
+from hdcnav.io import (ROWS_PER_CHUNK, SyntheticProfile, Trajectory,
                        TrajectoryFormatError, TrajectoryRecord, generate,
-                       read_csv, read_oxts, write_csv)
+                       read_csv, read_oxts, write_csv, write_table)
 
 
 # -- Trajectory ---------------------------------------------------------
@@ -191,6 +192,12 @@ def test_oxts_reads_yaw_and_rate(tmp_path):
     assert records[2].truth == pytest.approx(-0.3 % (2 * math.pi))
 
 
+def test_oxts_tiny_negative_yaw_reads_zero_truth(tmp_path):
+    # -1e-17 % 2*pi rounds to 2*pi itself, outside [0, 2*pi).
+    make_oxts_dir(tmp_path, yaws=[-1e-17, 0.1], rates=[0.0, 0.0])
+    assert read_oxts(tmp_path).truth.tolist() == [0.0, 0.1]
+
+
 def test_oxts_unpadded_frames_replay_in_numeric_order(tmp_path):
     # As text, 10.txt and 11.txt sort between 1.txt and 2.txt.
     rates = [0.01 * i for i in range(12)]
@@ -324,6 +331,23 @@ def test_constant_rotation_one_lap():
     assert min(final, 2 * math.pi - final) < 1e-9
 
 
+@pytest.mark.parametrize("duration, frame_dt", [(1.0, 0.6), (1.0, 0.3), (10.0, 0.7)])
+def test_both_kinds_end_at_their_duration(duration, frame_dt):
+    # Neither kind rounds up to a frame past its duration.
+    rotation = generate(SyntheticProfile("constant_rotation", 1.0, duration, frame_dt))
+    maze = generate(SyntheticProfile("balanced_maze", 1.0, duration, frame_dt))
+    assert rotation.t.tolist() == maze.t.tolist()
+    assert rotation.t[-1] <= duration < rotation.t[-1] + frame_dt
+    np.testing.assert_array_equal(rotation.truth, (1.0 * rotation.t) % (2 * math.pi))
+
+
+@pytest.mark.parametrize("omega_max, frame_dt", [(math.radians(20), 0.005), (0.5, 0.001)])
+def test_maze_truth_stays_below_two_pi(omega_max, frame_dt):
+    # Turns that end a hair below zero must wrap to 0, not to 2*pi.
+    truth = generate(SyntheticProfile("balanced_maze", omega_max, 60.0, frame_dt)).truth
+    assert truth.min() >= 0.0 and truth.max() < 2 * math.pi
+
+
 def test_balanced_maze_returns_to_start():
     records = generate(SyntheticProfile("balanced_maze",
                                         math.radians(30), 200.0))
@@ -357,3 +381,30 @@ def test_noisy_profile_is_deterministic_and_clean_truth():
         clean = generate(SyntheticProfile(kind, math.radians(30), 30.0))
         assert [r.truth for r in a] == [r.truth for r in clean]
         assert [r.omega for r in a] != [r.omega for r in clean]
+
+
+# -- tables ---------------------------------------------------------------
+
+def test_table_blanks_nan_cells_across_chunks(tmp_path):
+    n = 2 * ROWS_PER_CHUNK + 3
+    x = np.arange(n) / 3.0
+    y = np.where(np.arange(n) % 7 == 0, np.nan, -x)
+    flags = np.arange(n) % 2 == 0
+    path = tmp_path / "table.csv"
+    write_table(path, ("x", "y", "even"), (x, y, flags), ("{:.9g}", "{:.3f}", "{:g}"))
+    expected = ["x,y,even"] + [
+        f"{a:.9g},{'' if math.isnan(b) else f'{b:.3f}'},{int(c)}"
+        for a, b, c in zip(x.tolist(), y.tolist(), flags.tolist())]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def test_table_formats_a_chunk_at_a_time(tmp_path):
+    # A whole 64k-row column as Python floats would take 2 MB.
+    x = np.linspace(0.0, 1.0, 16 * ROWS_PER_CHUNK)
+    tracemalloc.start()
+    try:
+        write_table(tmp_path / "table.csv", ("x", "y"), (x, x), ("{:.9g}", "{:.9g}"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -214,8 +215,10 @@ def run_sliced(net, stim, frame_dt, step):
         net.run_frame(stim, frame_dt / slices)
 
 
-def maze_final_headings(kernel, gain, dts):
-    """Final decoded heading of the 30 s balanced maze at each step in ``dts``.
+@functools.cache
+def maze_final_heading(kernel, gain, dt):
+    """Final decoded heading of the 30 s balanced maze at Euler step ``dt``,
+    computed once per session for each step.
 
     The settle of ``init_at`` and every frame are cut into slices of at
     most that step.
@@ -224,27 +227,25 @@ def maze_final_headings(kernel, gain, dts):
     t, omega = records.t.tolist(), records.omega.tolist()
     curve = kernel.curve
     profile = curve.evaluate(curve.preferred_directions)
-    finals = []
-    for dt in dts:
-        net = HDCNetwork(kernel)
-        net.rates = np.stack((profile, profile / 2.0, profile / 2.0))
-        run_sliced(net, ZERO_STIMULUS, SETTLE_SECONDS, dt)
-        for k in range(1, len(t)):
-            level = gain.stimulus_for(omega[k])
-            stim = (TurningStimulus(left=level) if omega[k] >= 0
-                    else TurningStimulus(right=level))
-            run_sliced(net, stim, t[k] - t[k - 1], dt)
-        finals.append(net.decode())
-    return finals
+    net = HDCNetwork(kernel)
+    net.rates = np.stack((profile, profile / 2.0, profile / 2.0))
+    run_sliced(net, ZERO_STIMULUS, SETTLE_SECONDS, dt)
+    for k in range(1, len(t)):
+        level = gain.stimulus_for(omega[k])
+        stim = (TurningStimulus(left=level) if omega[k] >= 0
+                else TurningStimulus(right=level))
+        run_sliced(net, stim, t[k] - t[k - 1], dt)
+    return net.decode()
 
 
 def test_halving_dt_changes_little(kernel, gain):
-    first, second = maze_final_headings(kernel, gain, (0.0005, 0.00025))
+    first, second = (maze_final_heading(kernel, gain, dt) for dt in (0.0005, 0.00025))
     assert abs(wrapped_deg(first, second)) < 0.1
 
 
 def test_halving_default_dt_changes_little(kernel, gain):
-    first, second = maze_final_headings(kernel, gain, (DEFAULT_DT, DEFAULT_DT / 2))
+    first, second = (maze_final_heading(kernel, gain, dt)
+                     for dt in (DEFAULT_DT, DEFAULT_DT / 2))
     assert abs(wrapped_deg(first, second)) < 0.1
 
 
