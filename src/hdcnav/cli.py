@@ -12,7 +12,6 @@ success, 1 validation/invariant failure, 2 I/O or usage error.
 """
 
 import argparse
-import json
 import math
 import sys
 
@@ -202,7 +201,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, RuntimeError) as exc:

@@ -67,10 +67,14 @@ def check_fields(doc, fields, where):
 
 
 def read_json(path, fields) -> dict:
-    """The JSON object in ``path`` if ``check_fields`` finds ``fields`` in it;
-    a file that is not JSON raises ``json.JSONDecodeError``."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """The JSON object in ``path`` if ``check_fields`` finds ``fields`` in it.
+    A file that is not UTF-8 JSON raises an ``OSError`` naming it, as a
+    file that cannot be opened does."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise OSError(f"{path}: not a UTF-8 JSON file: {exc}") from None
     check_fields(doc, fields, path)
     return doc
 
@@ -201,14 +205,38 @@ def _truth_cell(cell: str) -> float:
     return value
 
 
-def _parse_rows(rows, width: int) -> np.ndarray:
-    """The data lines as a (rows, width) float array, in one pass."""
+def _parse_rows(rows, width: int, truth_by_cell: bool = True) -> np.ndarray:
+    """The data lines as a (rows, width) float array, in one pass; a third
+    column is read by ``_truth_cell`` unless ``truth_by_cell`` is false."""
     data = np.loadtxt(rows, dtype=float, delimiter=",", comments=None,
                       quotechar='"', ndmin=2,
-                      converters={2: _truth_cell} if width == 3 else None)
+                      converters={2: _truth_cell} if truth_by_cell and width == 3 else None)
     if data.shape[1] != width:
         raise ValueError("field count differs from the header")
     return data
+
+
+def _parse_body(fh, width: int) -> np.ndarray:
+    """The data lines after the header line of ``fh`` as a (rows, width)
+    array; ValueError if they do not parse.
+
+    A plain parse fails on a blank truth cell and reads a written ``nan``
+    as NaN, while ``_truth_cell`` costs a Python call per row. So a third
+    column goes through it only when the first data row's truth cell is
+    blank, or when a plain parse fails or reads a NaN truth.
+    """
+    start = fh.tell()
+    first = next(filter(str.strip, fh), "")
+    fh.seek(start)
+    if width == 3 and not first.rstrip().endswith(","):
+        try:
+            data = _parse_rows(filter(str.strip, fh), width, truth_by_cell=False)
+            if not np.isnan(data[:, 2]).any():
+                return data
+        except ValueError:
+            pass
+        fh.seek(start)
+    return _parse_rows(filter(str.strip, fh), width)
 
 
 def _numbered_rows(lines):
@@ -237,8 +265,10 @@ def read_csv(path) -> Trajectory:
 
     Each data row has exactly the header's fields. A blank truth cell
     means the sample has no truth; blank and whitespace-only lines are
-    skipped. The rows are parsed in one ``np.loadtxt`` pass; the file is
-    read again line by line only to name the ``path:line`` of an error.
+    skipped. The rows are parsed in one ``np.loadtxt`` pass, or two when
+    a blank or ``nan`` truth cell first shows after the first row (see
+    ``_parse_body``); the file is read again line by line only to name
+    the ``path:line`` of an error.
     """
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
@@ -253,7 +283,7 @@ def read_csv(path) -> Trajectory:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                         UserWarning)
-                data = _parse_rows(filter(str.strip, fh), len(cols))
+                data = _parse_body(fh, len(cols))
         except ValueError:
             fh.seek(0)
             raise _bad_line_error(path, fh.read().split("\n"), len(cols)) from None

@@ -6,21 +6,32 @@ synaptic inputs are
     u_h     = W f_h + gamma W' (f_L - f_R)
     u_{L,R} = W f_h / 2 + s_{L,R}
 
-where f are the layers' firing rates and s the turning stimuli. Each
-Euler step therefore costs two n x n ring products, ``W f_h`` (shared by
-all three layers) and ``gamma W' (f_L - f_R)``, plus one transfer-function
-evaluation. Self-connections (cell distance 0) carry no weight. Every
-step is ``DEFAULT_DT``, 1 ms, so a 10 ms frame is 10 steps.
+where f are the layers' firing rates and s the turning stimuli. Every
+Euler step is ``DEFAULT_DT``, 1 ms, so a 10 ms frame is 10 steps.
+Self-connections (cell distance 0) carry no weight.
 
 The network's state is its ``rates`` array of shape ``(3, n)``: rows
 f_h, f_L and f_R. ``init_at`` with B headings adds a trailing batch axis:
 B independent networks with ``(3, n, B)`` rates, stepped together by the
 same code, each ring product then one n x B matrix product.
 
-Each network keeps one input buffer shaped like ``rates`` and two
-n-vectors (n x B for a batch), made again only when ``rates`` changes
-shape, so a step allocates no array: it runs the expressions above one
-operation at a time, in place, with the same results bit for bit.
+A step works on the sigmoid's argument z = -beta (u - h0), not on u.
+-beta is folded into both ring matrices when the network is built, so
+with A = -beta W and S = -beta gamma W' the Euler step of the neuron
+model (``neuron.euler_step``) reads
+
+    z_h     = A f_h + S (f_L - f_R) + beta h0
+    z_{L,R} = A f_h / 2 + (beta h0 - beta s_{L,R})
+    rates  <- (1 - dt/tau) rates + (dt/tau) r_max / (1 + exp(min(z, 709)))
+
+where the bracketed offsets and the constants are fixed for a frame. A
+step is two n x n ring products and twelve elementwise numpy calls, in
+place in one buffer shaped like ``rates`` and two n-vectors (n x B for a
+batch), made again only when ``rates`` changes shape, so a step
+allocates no array. No call takes a Python float, which numpy converts
+on every call at about 0.4 us, a third of a call on 300 floats: every
+constant is a 0-d array, and a stimulus that differs per column a
+length-B one (a broadcast column would cost more).
 """
 
 from dataclasses import dataclass
@@ -29,7 +40,7 @@ import numpy as np
 
 from .io import wrap_heading
 from .kernel import WeightKernel
-from .neuron import NEURON, transfer
+from .neuron import NEURON
 
 __all__ = ["TurningStimulus", "HDCNetwork", "DegenerateActivityError"]
 
@@ -42,6 +53,13 @@ SETTLE_SECONDS = 0.5
 # The network's one Euler step [s], tau/20: a 10 ms frame is 10 steps. A
 # calibration holds only at the step it was made at (see ``calibration``).
 DEFAULT_DT = 0.001
+
+# The step's constants (see the module docstring), as 0-d arrays.
+_HALF = np.array(0.5)
+_ONE = np.array(1.0)
+# exp overflows above ~709.78; at the clamp the rate is below 1e-306 Hz.
+_Z_MAX = np.array(709.0)
+_BETA_H0 = np.array(NEURON.beta * NEURON.h0)
 
 # Fraction of n * r_max below which the population vector is considered
 # directionless.
@@ -88,13 +106,14 @@ class HDCNetwork:
     def __init__(self, kernel: WeightKernel):
         self.kernel = kernel
         self.params = NEURON   # the neuron model, for callers that evaluate it
-        self._recurrent = _projection(kernel.h_to_h)
-        self._shift = _projection(kernel.s_to_h)
+        # Both ring matrices carry -beta, so their products are in z units.
+        self._recurrent = _projection(kernel.h_to_h) * -NEURON.beta
+        self._shift = _projection(kernel.s_to_h) * -NEURON.beta
         theta = kernel.curve.preferred_directions
         self._basis = np.stack((np.sin(theta), np.cos(theta)))
         self._min_magnitude = _DECODE_MAGNITUDE_FRACTION * kernel.n * NEURON.r_max
         self.rates = np.zeros((3, kernel.n))
-        self._inputs = np.empty(0)   # step buffers, made for the shape of rates
+        self._z = np.empty(0)   # step buffers, made for the shape of rates
 
     @property
     def dt(self) -> float:
@@ -157,25 +176,31 @@ class HDCNetwork:
             raise ValueError(f"stimulus does not match the batch shape {self.rates.shape[2:]}")
         n_steps = max(1, int(np.ceil(frame_dt / DEFAULT_DT - 1e-9)))
         dt_tau = frame_dt / n_steps / NEURON.tau
+        decay, numerator = np.array(1.0 - dt_tau), np.array(dt_tau * NEURON.r_max)
+        offset_left = np.asarray(_BETA_H0 - NEURON.beta * stim.left)
+        offset_right = np.asarray(_BETA_H0 - NEURON.beta * stim.right)
         rates = self.rates
-        if self._inputs.shape != rates.shape:
-            self._inputs = np.empty(rates.shape)
+        if self._z.shape != rates.shape:
+            self._z = np.empty(rates.shape)
             self._diff, self._shifted = np.empty((2,) + rates.shape[1:])
-        u, diff, shifted = self._inputs, self._diff, self._shifted
-        u_h, u_left, u_right = u
+        z, diff, shifted = self._z, self._diff, self._shifted
+        z_h, z_left, z_right = z
         hdc, left, right = rates
         recurrent, shift = self._recurrent, self._shift
         for _ in range(n_steps):
-            # The inputs of the module docstring, built in place in u.
-            recurrent.dot(hdc, out=u_h)
-            np.multiply(u_h, 0.5, out=u_left)
-            np.add(u_left, stim.right, out=u_right)
-            np.add(u_left, stim.left, out=u_left)
+            # z of the module docstring, built in place.
+            recurrent.dot(hdc, out=z_h)
+            np.multiply(z_h, _HALF, out=z_left)
+            np.add(z_left, offset_right, out=z_right)
+            np.add(z_left, offset_left, out=z_left)
             np.subtract(left, right, out=diff)
             shift.dot(diff, out=shifted)
-            u_h += shifted
-            transfer(u, out=u)
-            # rates += dt / tau * (transfer(u) - rates)
-            u -= rates
-            u *= dt_tau
-            rates += u
+            z_h += shifted
+            z_h += _BETA_H0
+            # rates = (1 - dt/tau) rates + (dt/tau) r_max / (1 + exp(min(z, 709)))
+            np.minimum(z, _Z_MAX, out=z)
+            np.exp(z, out=z)
+            z += _ONE
+            np.divide(numerator, z, out=z)
+            rates *= decay
+            rates += z

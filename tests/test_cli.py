@@ -171,6 +171,19 @@ def test_missing_file_is_io_error(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("content", [b'{"version": 2', b"\xff\xfe{}"],
+                         ids=["truncated-json", "not-utf-8"])
+def test_unreadable_json_file_names_it(tmp_path, capsys, content):
+    # A kernel file that is not JSON, or not UTF-8, is an I/O error (exit 2)
+    # whose message names the file.
+    kernel = tmp_path / "kernel.json"
+    kernel.write_bytes(content)
+    out = tmp_path / "calibration.json"
+    assert main(["calibrate", "--kernel", str(kernel), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {kernel}: not a UTF-8 JSON file: ")
+    assert not out.exists()
+
+
 def test_invalid_arguments_fail(tmp_path, kernel_file, calibration_file):
     # both --trajectory and --oxts given
     with pytest.raises(SystemExit) as info:

@@ -282,17 +282,42 @@ def _ring(weights):
     return mat
 
 
-# -- oracle: the step as plain expressions, each making a new array -------
+# -- oracles: the step as plain expressions, each making a new array ----
 
-def _expression_frame(kernel, rates, stim, frame_dt, dt=DEFAULT_DT):
-    """``run_frame`` with the sigmoid and the inputs as whole expressions.
+def _n_steps(frame_dt, dt=DEFAULT_DT):
+    return max(1, int(np.ceil(frame_dt / dt - 1e-9)))
+
+
+def _expression_frame(kernel, rates, stim, frame_dt):
+    """``run_frame`` with the inputs, the sigmoid and the update as whole
+    expressions in z = -beta (u - h0), with -beta folded into the rings.
 
     Same operations in the same order as the buffered step, so the two
     must agree bit for bit.
     """
     p = NEURON
+    recurrent, shift = _ring(kernel.h_to_h) * -p.beta, _ring(kernel.s_to_h) * -p.beta
+    n_steps = _n_steps(frame_dt)
+    dt_tau = frame_dt / n_steps / p.tau
+    bias = p.beta * p.h0
+    offset_left, offset_right = bias - p.beta * stim.left, bias - p.beta * stim.right
+    for _ in range(n_steps):
+        hdc, left, right = rates
+        drive = recurrent @ hdc
+        half = drive * 0.5
+        z = np.array((drive + shift @ (left - right) + bias,
+                      half + offset_left, half + offset_right))
+        rates = (1.0 - dt_tau) * rates + dt_tau * p.r_max / (1.0 + np.exp(np.minimum(z, 709.0)))
+    return rates
+
+
+def _exp_form_frame(kernel, rates, stim, frame_dt):
+    """``run_frame`` in the model's own terms: the inputs u, the transfer
+    r_max / (1 + exp(-beta (u - h0))) and rates += dt/tau (transfer - rates).
+    Rounds differently from the folded step."""
+    p = NEURON
     recurrent, shift = _ring(kernel.h_to_h), _ring(kernel.s_to_h)
-    n_steps = max(1, int(np.ceil(frame_dt / dt - 1e-9)))
+    n_steps = _n_steps(frame_dt)
     dt_tau = frame_dt / n_steps / p.tau
     for _ in range(n_steps):
         hdc, left, right = rates
@@ -305,35 +330,40 @@ def _expression_frame(kernel, rates, stim, frame_dt, dt=DEFAULT_DT):
     return rates
 
 
-def _expression_init(kernel, heading):
+def _init(frame, kernel, heading):
     curve = kernel.curve
     profile = curve.evaluate(np.subtract.outer(curve.preferred_directions, heading))
-    return _expression_frame(kernel, np.stack((profile, profile / 2.0, profile / 2.0)),
-                             ZERO_STIMULUS, SETTLE_SECONDS)
+    return frame(kernel, np.stack((profile, profile / 2.0, profile / 2.0)),
+                 ZERO_STIMULUS, SETTLE_SECONDS)
 
 
 def test_run_frame_is_bit_identical_to_the_expression_step(kernel):
     # One network through single -> batch -> single states by init_at, then
     # rates assigned directly (a new batch size, then single twice); each
-    # state runs 1, 1.05 and 10 ms frames with both stimuli non-zero.
+    # state runs 1, 1.05 and 10 ms frames with both stimuli non-zero. The
+    # exp-form step agrees to rounding, from init_at's 0.5 s settle on.
     rng = np.random.default_rng(21)
     single = TurningStimulus(left=0.03, right=0.012)
     net = HDCNetwork(kernel)
     for start in (1.0, np.array([0.5, 2.0, 4.0]), 4.0, (2,), (), ()):
         if isinstance(start, tuple):
             net.rates = rng.uniform(0.0, 76.2, (3, kernel.n) + start)
-            expected = net.rates.copy()
+            expected = reference = net.rates.copy()
         else:
             net.init_at(start)
-            expected = _expression_init(kernel, start)
+            expected = _init(_expression_frame, kernel, start)
+            reference = _init(_exp_form_frame, kernel, start)
             assert np.array_equal(net.rates, expected)
+            np.testing.assert_allclose(net.rates, reference, rtol=1e-12, atol=0)
         batch = net.rates.shape[2:]
         stim = (TurningStimulus(rng.uniform(0.01, 0.05, batch), rng.uniform(0.01, 0.05, batch))
                 if batch else single)
         for frame_dt in (0.001, 0.00105, 0.010):
             net.run_frame(stim, frame_dt)
             expected = _expression_frame(kernel, expected, stim, frame_dt)
+            reference = _exp_form_frame(kernel, reference, stim, frame_dt)
             assert np.array_equal(net.rates, expected)
+            np.testing.assert_allclose(net.rates, reference, rtol=1e-12, atol=0)
 
 
 def test_run_frame_allocates_no_array(kernel):

@@ -34,18 +34,13 @@ def sigmoid_expression(x, p=NEURON):
 @pytest.mark.parametrize("shape", [(3, 100), (3, 100, 3)])
 def test_transfer_into_out_is_bit_identical(p, shape):
     # The clamp region (-1.7e308 and the other very negative inputs), the
-    # far positive side and the slope, bit for bit, with and without out.
+    # far positive side and the slope, bit for bit.
     edges = [-1.7e308, -1e4, -870.0, -866.0, 0.0, p.h0, 1e4, 1.7e308]
     size = math.prod(shape)
     x = np.concatenate((edges, np.random.default_rng(3).normal(
         p.h0, 20.0, size - len(edges)))).reshape(shape)
     expected = sigmoid_expression(x, p)
     assert np.array_equal(transfer(x, p), expected)
-    out = np.empty(shape)
-    assert transfer(x, p, out=out) is out
-    assert np.array_equal(out, expected)
-    assert transfer(x, p, out=x) is x
-    assert np.array_equal(x, expected)
 
 
 @pytest.mark.parametrize("x", [0.0, 2.46, -1.7e308, 1e4, 5, np.float64(-3.5),
