@@ -16,17 +16,18 @@ B independent networks with ``(3, n, B)`` rates, stepped together by the
 same code, each ring product then one n x B matrix product.
 
 A step works on the sigmoid's argument z = -beta (u - h0), not on u.
--beta is folded into both ring matrices when the network is built, so
-with A = -beta W and S = -beta gamma W' the Euler step of the neuron
-model (``neuron.euler_step``) reads
+-beta is folded into both ring matrices when the network is built, and
+beta h0 into a last column of the shift matrix that meets a one below
+f_L - f_R. With A = -beta W and S = [-beta gamma W' | beta h0], the
+Euler step of the neuron model (``neuron.euler_step``) reads
 
-    z_h     = A f_h + S (f_L - f_R) + beta h0
+    z_h     = A f_h + S [f_L - f_R; 1]
     z_{L,R} = A f_h / 2 + (beta h0 - beta s_{L,R})
     rates  <- (1 - dt/tau) rates + (dt/tau) r_max / (1 + exp(min(z, 709)))
 
 where the bracketed offsets and the constants are fixed for a frame. A
-step is two n x n ring products and twelve elementwise numpy calls, in
-place in one buffer shaped like ``rates`` and two n-vectors (n x B for a
+step is two ring products and eleven elementwise numpy calls, in place
+in one buffer shaped like ``rates`` and two n-vectors (n x B for a
 batch), made again only when ``rates`` changes shape, so a step
 allocates no array. No call takes a Python float, which numpy converts
 on every call at about 0.4 us, a third of a call on 300 floats: every
@@ -106,9 +107,10 @@ class HDCNetwork:
     def __init__(self, kernel: WeightKernel):
         self.kernel = kernel
         self.params = NEURON   # the neuron model, for callers that evaluate it
-        # Both ring matrices carry -beta, so their products are in z units.
+        # The ring matrices of the module docstring, whose products are in z units.
         self._recurrent = _projection(kernel.h_to_h) * -NEURON.beta
-        self._shift = _projection(kernel.s_to_h) * -NEURON.beta
+        self._shift = np.column_stack((_projection(kernel.s_to_h) * -NEURON.beta,
+                                       np.full(kernel.n, _BETA_H0)))
         theta = kernel.curve.preferred_directions
         self._basis = np.stack((np.sin(theta), np.cos(theta)))
         self._min_magnitude = _DECODE_MAGNITUDE_FRACTION * kernel.n * NEURON.r_max
@@ -181,10 +183,12 @@ class HDCNetwork:
         offset_right = np.asarray(_BETA_H0 - NEURON.beta * stim.right)
         rates = self.rates
         if self._z.shape != rates.shape:
-            self._z = np.empty(rates.shape)
-            self._diff, self._shifted = np.empty((2,) + rates.shape[1:])
+            self._z, self._shifted = np.empty(rates.shape), np.empty(rates.shape[1:])
+            # [f_L - f_R; 1]: the steps write the rows above the ones.
+            self._diff = np.ones((rates.shape[1] + 1,) + rates.shape[2:])
         z, diff, shifted = self._z, self._diff, self._shifted
         z_h, z_left, z_right = z
+        diff_rates = diff[:-1]
         hdc, left, right = rates
         recurrent, shift = self._recurrent, self._shift
         for _ in range(n_steps):
@@ -193,10 +197,9 @@ class HDCNetwork:
             np.multiply(z_h, _HALF, out=z_left)
             np.add(z_left, offset_right, out=z_right)
             np.add(z_left, offset_left, out=z_left)
-            np.subtract(left, right, out=diff)
+            np.subtract(left, right, out=diff_rates)
             shift.dot(diff, out=shifted)
             z_h += shifted
-            z_h += _BETA_H0
             # rates = (1 - dt/tau) rates + (dt/tau) r_max / (1 + exp(min(z, 709)))
             np.minimum(z, _Z_MAX, out=z)
             np.exp(z, out=z)

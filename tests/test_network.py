@@ -290,23 +290,25 @@ def _n_steps(frame_dt, dt=DEFAULT_DT):
 
 def _expression_frame(kernel, rates, stim, frame_dt):
     """``run_frame`` with the inputs, the sigmoid and the update as whole
-    expressions in z = -beta (u - h0), with -beta folded into the rings.
+    expressions in z = -beta (u - h0): -beta folded into the rings and
+    beta h0 into a last shift column that meets a one below f_L - f_R.
 
     Same operations in the same order as the buffered step, so the two
     must agree bit for bit.
     """
     p = NEURON
-    recurrent, shift = _ring(kernel.h_to_h) * -p.beta, _ring(kernel.s_to_h) * -p.beta
+    bias = p.beta * p.h0
+    recurrent = _ring(kernel.h_to_h) * -p.beta
+    shift = np.column_stack((_ring(kernel.s_to_h) * -p.beta, np.full(kernel.n, bias)))
     n_steps = _n_steps(frame_dt)
     dt_tau = frame_dt / n_steps / p.tau
-    bias = p.beta * p.h0
     offset_left, offset_right = bias - p.beta * stim.left, bias - p.beta * stim.right
     for _ in range(n_steps):
         hdc, left, right = rates
         drive = recurrent @ hdc
         half = drive * 0.5
-        z = np.array((drive + shift @ (left - right) + bias,
-                      half + offset_left, half + offset_right))
+        diff = np.concatenate((left - right, np.ones((1,) + left.shape[1:])))
+        z = np.array((drive + shift @ diff, half + offset_left, half + offset_right))
         rates = (1.0 - dt_tau) * rates + dt_tau * p.r_max / (1.0 + np.exp(np.minimum(z, 709.0)))
     return rates
 
