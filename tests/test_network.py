@@ -293,13 +293,14 @@ def _expression_frame(kernel, rates, stim, frame_dt):
     expressions in z = -beta (u - h0): -beta folded into the rings and
     beta h0 into a last shift column that meets a one below f_L - f_R.
 
-    Same operations in the same order as the buffered step, so the two
-    must agree bit for bit.
+    Same operations in the same order, on matrices in the same memory
+    order, as the buffered step, so the two must agree bit for bit.
     """
     p = NEURON
     bias = p.beta * p.h0
-    recurrent = _ring(kernel.h_to_h) * -p.beta
-    shift = np.column_stack((_ring(kernel.s_to_h) * -p.beta, np.full(kernel.n, bias)))
+    recurrent = np.asfortranarray(_ring(kernel.h_to_h) * -p.beta)
+    shift = np.asfortranarray(np.column_stack((_ring(kernel.s_to_h) * -p.beta,
+                                               np.full(kernel.n, bias))))
     n_steps = _n_steps(frame_dt)
     dt_tau = frame_dt / n_steps / p.tau
     offset_left, offset_right = bias - p.beta * stim.left, bias - p.beta * stim.right
