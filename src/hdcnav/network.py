@@ -25,14 +25,15 @@ Euler step of the neuron model (``neuron.euler_step``) reads
     z_{L,R} = A f_h / 2 + (beta h0 - beta s_{L,R})
     rates  <- (1 - dt/tau) rates + (dt/tau) r_max / (1 + exp(min(z, 709)))
 
-where the bracketed offsets and the constants are fixed for a frame. A
-step is two ring products and eleven elementwise numpy calls, in place
-in one buffer shaped like ``rates`` and two n-vectors (n x B for a
-batch), made again only when ``rates`` changes shape, so a step
-allocates no array. No call takes a Python float, which numpy converts
-on every call at about 0.4 us, a third of a call on 300 floats: every
-constant is a 0-d array, and a stimulus that differs per column a
-length-B one (a broadcast column would cost more).
+where the offsets in parentheses and the constants are fixed for a
+frame. A step is two ring products and eleven elementwise numpy calls,
+in place in one buffer shaped like ``rates``, an n-vector and an
+(n + 1)-vector (n x B and (n + 1) x B for a batch), made again only when
+``rates`` changes shape, so a step allocates no array. No call takes a
+Python float, which numpy converts on every call (about 0.4 us on a
+2-vCPU Xeon KVM guest, a third of a call on 300 floats): every constant
+is a 0-d array, and a stimulus that differs per column a length-B one
+(a broadcast column would cost more).
 """
 
 from dataclasses import dataclass
@@ -108,8 +109,9 @@ class HDCNetwork:
         self.kernel = kernel
         self.params = NEURON   # the neuron model, for callers that evaluate it
         # The ring matrices of the module docstring, whose products are in z
-        # units. Column-major: OpenBLAS multiplies a vector or an n x B batch
-        # by these faster than by row-major copies (4% of a 10 ms frame).
+        # units. Column-major: OpenBLAS 0.3.31 multiplies a vector or an
+        # n x B batch by these faster than by row-major copies (about 4% of
+        # a 10 ms frame on a 2-vCPU Xeon KVM guest).
         self._recurrent = np.asfortranarray(_projection(kernel.h_to_h) * -NEURON.beta)
         self._shift = np.asfortranarray(np.column_stack((
             _projection(kernel.s_to_h) * -NEURON.beta, np.full(kernel.n, _BETA_H0))))

@@ -284,8 +284,8 @@ def _ring(weights):
 
 # -- oracles: the step as plain expressions, each making a new array ----
 
-def _n_steps(frame_dt, dt=DEFAULT_DT):
-    return max(1, int(np.ceil(frame_dt / dt - 1e-9)))
+def _n_steps(frame_dt):
+    return max(1, int(np.ceil(frame_dt / DEFAULT_DT - 1e-9)))
 
 
 def _expression_frame(kernel, rates, stim, frame_dt):
