@@ -4,7 +4,7 @@ A sweep drives the shift-left layer at a range of constant stimulus
 levels and measures the steady drift speed of the activity bump; a
 least-squares line through the origin is then inverted to obtain the
 stimulus gain used by the tracker. All levels run together as the
-columns of one batched network.
+columns of one batched network, tiled from one settled state.
 
 A calibration belongs to one weight kernel and one Euler step:
 ``fit_gain`` and ``load_calibration`` both take the kernel, the file
@@ -77,13 +77,13 @@ def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
           duration: float = SWEEP_DURATION) -> list:
     """Measure bump velocity for each stimulus level on the shift-left layer.
 
-    One batched network runs every level at once, one column per level,
-    decoded every ``SWEEP_FRAME_DT``. The first half of the run is
-    discarded as transient; a level's velocity is the slope of its
-    unwrapped heading over the second half. Levels at which the bump
-    collapses, or at which a positive level does not move it forward (it
-    reverses at strong stimuli), are reported as degenerate samples and
-    later excluded from the fit.
+    One network settled at pi is tiled into a batch that runs every level
+    at once, one column per level, decoded every ``SWEEP_FRAME_DT``. The
+    first half of the run is discarded as transient; a level's velocity
+    is the slope of its unwrapped heading over the second half. Levels at
+    which the bump collapses, or at which a positive level does not move
+    it forward (it reverses at strong stimuli), are reported as
+    degenerate samples and later excluded from the fit.
     """
     levels = np.asarray(stimuli, dtype=float)
     if levels.ndim != 1 or levels.size == 0 or not np.isfinite(levels).all():
@@ -95,7 +95,8 @@ def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
     if not 2.0 <= duration < math.inf:
         raise ValueError(f"sweep duration must be finite and at least 2 s, got {duration}")
     net = HDCNetwork(kernel)
-    net.init_at(np.full(levels.size, np.pi))
+    net.init_at(np.pi)
+    net.rates = np.repeat(net.rates[..., np.newaxis], levels.size, axis=2)
     stimulus = TurningStimulus(left=levels)
     n_frames = int(round(duration / SWEEP_FRAME_DT))
     headings = [net.decode()]

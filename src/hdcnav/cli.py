@@ -7,12 +7,15 @@ them. argparse checks the arguments: which are required, which exclude
 each other, and that each value parses. The library checks the values
 and holds every default but the output paths: only the options that are
 set reach it, through ``**_given(...)``. The CLI's one check of its own
-is synthesize's refusal of a kernel that holds no bump. Exit codes: 0
-success, 1 validation/invariant failure, 2 I/O or usage error.
+is synthesize's refusal of a kernel that holds no bump. A subcommand
+returns its summary, printed once its files are written. Exit codes: 0
+success (also when standard output closes early, as in ``| head``), 1
+validation/invariant failure, 2 I/O or usage error.
 """
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -71,12 +74,10 @@ def cmd_synthesize(args):
         raise ValueError(f"the kernel cannot hold an activity bump ({exc}): {kernel}") from None
     save_kernel(kernel, args.out)
     w, wp = kernel.h_to_h, kernel.s_to_h
-    print(f"kernel n={kernel.n} lambda={kernel.lam:g} gamma={kernel.gamma:g} "
-          f"-> {args.out}")
-    print(f"symmetry: even residual {np.max(np.abs(w[1:] - w[1:][::-1])):.3e}, "
-          f"odd residual {np.max(np.abs(wp[1:] + wp[1:][::-1])):.3e}")
-    print(f"hash: {kernel_hash(kernel)}")
-    return EXIT_OK
+    return (f"kernel n={kernel.n} lambda={kernel.lam:g} gamma={kernel.gamma:g} -> {args.out}\n"
+            f"symmetry: even residual {np.max(np.abs(w[1:] - w[1:][::-1])):.3e}, "
+            f"odd residual {np.max(np.abs(wp[1:] + wp[1:][::-1])):.3e}\n"
+            f"hash: {kernel_hash(kernel)}")
 
 
 def cmd_calibrate(args):
@@ -89,9 +90,8 @@ def cmd_calibrate(args):
                     ([s.stimulus for s in samples], [s.velocity for s in samples],
                      [s.degenerate for s in samples]),
                     ("{:.9g}", "{:.9g}", "{:g}"))
-    print(f"alpha={gain.alpha:.6f} fit_r2={gain.fit_r2:.6f} "
-          f"max_velocity={math.degrees(gain.max_velocity):.1f} deg/s -> {args.out}")
-    return EXIT_OK
+    return (f"alpha={gain.alpha:.6f} fit_r2={gain.fit_r2:.6f} "
+            f"max_velocity={math.degrees(gain.max_velocity):.1f} deg/s -> {args.out}")
 
 
 def cmd_track(args):
@@ -100,25 +100,21 @@ def cmd_track(args):
     report.to_json(args.report)
     if args.samples:
         report.to_csv(args.samples)
-    if report.mean_error_deg is None:
-        print(f"tracked {len(report.t)} samples (no ground truth)")
-    else:
-        print(f"tracked {len(report.t)} samples: mean |error| "
-              f"{report.mean_error_deg:.3f} deg, max {report.max_error_deg:.3f} deg")
-    print(f"report -> {args.report}")
-    return EXIT_OK
+    errors = (" (no ground truth)" if report.mean_error_deg is None else
+              f": mean |error| {report.mean_error_deg:.3f} deg, "
+              f"max {report.max_error_deg:.3f} deg")
+    return f"tracked {len(report.t)} samples{errors}\nreport -> {args.report}"
 
 
 def cmd_bench(args):
     kernel, gain, trajectory = _load_replay(args)
     stats = benchmark(trajectory, kernel, gain, **_given(args, "repetitions"))
     write_json(vars(stats), args.out)
-    print(f"frames={stats.frame_count} mean={stats.mean_ms:.3f} ms "
-          f"median={stats.median_ms:.3f} ms max={stats.max_ms:.3f} ms "
-          f"over-budget={stats.pct_over_10ms:.2f}%")
-    print(f"reference: Raspberry Pi 3 mean {_PI_REFERENCE_MEAN_MS:.2f} ms "
-          f"(this run: {stats.mean_ms / _PI_REFERENCE_MEAN_MS:.2f}x of reference)")
-    return EXIT_OK
+    return (f"frames={stats.frame_count} mean={stats.mean_ms:.3f} ms "
+            f"median={stats.median_ms:.3f} ms max={stats.max_ms:.3f} ms "
+            f"over-budget={stats.pct_over_10ms:.2f}%\n"
+            f"reference: Raspberry Pi 3 mean {_PI_REFERENCE_MEAN_MS:.2f} ms "
+            f"(this run: {stats.mean_ms / _PI_REFERENCE_MEAN_MS:.2f}x of reference)")
 
 
 def cmd_generate(args):
@@ -126,9 +122,8 @@ def cmd_generate(args):
                                         "frame_dt", "noise_sigma", "seed"))
     trajectory = generate(profile)
     write_csv(trajectory, args.out)
-    print(f"{profile.kind}: {len(trajectory)} samples over "
-          f"{trajectory.t[-1]:.2f} s -> {args.out}")
-    return EXIT_OK
+    return (f"{profile.kind}: {len(trajectory)} samples over "
+            f"{trajectory.t[-1]:.2f} s -> {args.out}")
 
 
 # -- argument parsing ---------------------------------------------------
@@ -200,13 +195,17 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except OSError as exc:
+        summary = args.func(args)
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_INVALID
+    try:
+        print(summary, flush=True)
+    except BrokenPipeError:
+        # Standard output closed early (`| head`) after the files were written.
+        # Point it at /dev/null so the flush at interpreter exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return EXIT_OK
 
 
 if __name__ == "__main__":

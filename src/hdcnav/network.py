@@ -11,29 +11,32 @@ Euler step is ``DEFAULT_DT``, 1 ms, so a 10 ms frame is 10 steps.
 Self-connections (cell distance 0) carry no weight.
 
 The network's state is its ``rates`` array of shape ``(3, n)``: rows
-f_h, f_L and f_R. ``init_at`` with B headings adds a trailing batch axis:
-B independent networks with ``(3, n, B)`` rates, stepped together by the
-same code, each ring product then one n x B matrix product.
+f_h, f_L and f_R. ``init_at`` makes one network; rates of shape
+``(3, n, B)``, set by a caller, are B independent networks stepped
+together by the same code, each ring product then one n x B matrix
+product.
 
-A step works on the sigmoid's argument z = -beta (u - h0), not on u.
--beta is folded into both ring matrices when the network is built, and
-beta h0 into a last column of the shift matrix that meets a one below
-f_L - f_R. With A = -beta W and S = [-beta gamma W' | beta h0], the
-Euler step of the neuron model (``neuron.euler_step``) reads
+A step works on z = -beta (u - h0) / 2, not on u, and writes the sigmoid
+in its tanh form r_max / (1 + exp(2 z)) = (r_max / 2) (1 - tanh(z)).
+-beta/2 is folded into both ring matrices when the network is built, and
+beta h0 / 2 into a last column of the shift matrix that meets a one below
+f_L - f_R. With A = -beta W / 2 and S = [-beta gamma W' / 2 | beta h0 / 2],
+the Euler step of the neuron model (``neuron.euler_step``) reads
 
     z_h     = A f_h + S [f_L - f_R; 1]
-    z_{L,R} = A f_h / 2 + (beta h0 - beta s_{L,R})
-    rates  <- (1 - dt/tau) rates + (dt/tau) r_max / (1 + exp(min(z, 709)))
+    z_{L,R} = A f_h / 2 + (beta h0 - beta s_{L,R}) / 2
+    rates  <- (1 - dt/tau) rates + c - c tanh(z),   c = (dt/tau) r_max / 2
 
 where the offsets in parentheses and the constants are fixed for a
-frame. A step is two ring products and eleven elementwise numpy calls,
-in place in one buffer shaped like ``rates``, an n-vector and an
-(n + 1)-vector (n x B and (n + 1) x B for a batch), made again only when
-``rates`` changes shape, so a step allocates no array. No call takes a
-Python float, which numpy converts on every call (about 0.4 us on a
-2-vCPU Xeon KVM guest, a third of a call on 300 floats): every constant
-is a 0-d array, and a stimulus that differs per column a length-B one
-(a broadcast column would cost more).
+frame. tanh is bounded, so no state or stimulus can overflow and the
+step needs no clamp. A step is two ring products and ten elementwise
+numpy calls, in place in one buffer shaped like ``rates``, an n-vector
+and an (n + 1)-vector (n x B and (n + 1) x B for a batch), made again
+only when ``rates`` changes shape, so a step allocates no array. No call
+takes a Python float, which numpy converts on every call (about 0.4 us
+on a 2-vCPU Xeon KVM guest, a third of a call on 300 floats): every
+constant is a 0-d array, and a stimulus that differs per column a
+length-B one (a broadcast column would cost more).
 """
 
 from dataclasses import dataclass
@@ -56,12 +59,8 @@ SETTLE_SECONDS = 0.5
 # calibration holds only at the step it was made at (see ``calibration``).
 DEFAULT_DT = 0.001
 
-# The step's constants (see the module docstring), as 0-d arrays.
-_HALF = np.array(0.5)
-_ONE = np.array(1.0)
-# exp overflows above ~709.78; at the clamp the rate is below 1e-306 Hz.
-_Z_MAX = np.array(709.0)
-_BETA_H0 = np.array(NEURON.beta * NEURON.h0)
+_HALF = np.array(0.5)   # 0-d, as every constant of the step (see the module docstring)
+_BETA_H0 = NEURON.beta * NEURON.h0
 
 # Fraction of n * r_max below which the population vector is considered
 # directionless.
@@ -80,9 +79,8 @@ class TurningStimulus:
     right: float = 0.0
 
     def __post_init__(self):
-        # NaN fails both comparisons.
-        if not ((np.minimum(self.left, self.right) >= 0.0)
-                & (np.maximum(self.left, self.right) < np.inf)).all():
+        if not (np.isfinite(self.left) & np.isfinite(self.right)
+                & (np.fmin(self.left, self.right) >= 0.0)).all():
             raise ValueError("stimulus values must be finite and non-negative")
 
 
@@ -112,9 +110,9 @@ class HDCNetwork:
         # units. Column-major: OpenBLAS 0.3.31 multiplies a vector or an
         # n x B batch by these faster than by row-major copies (about 4% of
         # a 10 ms frame on a 2-vCPU Xeon KVM guest).
-        self._recurrent = np.asfortranarray(_projection(kernel.h_to_h) * -NEURON.beta)
+        self._recurrent = np.asfortranarray(_projection(kernel.h_to_h) * (-NEURON.beta / 2))
         self._shift = np.asfortranarray(np.column_stack((
-            _projection(kernel.s_to_h) * -NEURON.beta, np.full(kernel.n, _BETA_H0))))
+            _projection(kernel.s_to_h) * (-NEURON.beta / 2), np.full(kernel.n, _BETA_H0 / 2))))
         theta = kernel.curve.preferred_directions
         self._basis = np.stack((np.sin(theta), np.cos(theta)))
         self._min_magnitude = _DECODE_MAGNITUDE_FRACTION * kernel.n * NEURON.r_max
@@ -146,21 +144,20 @@ class HDCNetwork:
 
     # -- dynamics -------------------------------------------------------
 
-    def init_at(self, heading):
+    def init_at(self, heading: float):
         """Place the activity bump at ``heading`` and let it settle.
 
         The heading layer starts on the closed-form tuning profile rotated
         to the requested direction, the shift layers on half of it; a
         0.5 s zero-stimulus relaxation follows. It leaves the bump at
         ``heading`` but not yet at its final shape (see
-        ``SETTLE_SECONDS``). A 1-D array of B headings makes the network a
-        batch of B columns; a scalar keeps it single.
+        ``SETTLE_SECONDS``). ``heading`` is one finite scalar, and the
+        network is single afterwards; a batch is made by setting ``rates``.
         """
-        heading = np.asarray(heading, dtype=float)
-        if heading.ndim > 1 or heading.size == 0 or not np.isfinite(heading).all():
-            raise ValueError("heading must be finite: a scalar or a non-empty 1-D array")
+        if np.ndim(heading) != 0 or not np.isfinite(heading):
+            raise ValueError(f"heading must be a finite scalar, got {heading!r}")
         curve = self.kernel.curve
-        profile = curve.evaluate(np.subtract.outer(curve.preferred_directions, heading))
+        profile = curve.evaluate(curve.preferred_directions - heading)
         self.rates = np.stack((profile, profile / 2.0, profile / 2.0))
         self.run_frame(ZERO_STIMULUS, SETTLE_SECONDS)
 
@@ -182,9 +179,9 @@ class HDCNetwork:
             raise ValueError(f"stimulus does not match the batch shape {self.rates.shape[2:]}")
         n_steps = max(1, int(np.ceil(frame_dt / DEFAULT_DT - 1e-9)))
         dt_tau = frame_dt / n_steps / NEURON.tau
-        decay, numerator = np.array(1.0 - dt_tau), np.array(dt_tau * NEURON.r_max)
-        offset_left = np.asarray(_BETA_H0 - NEURON.beta * stim.left)
-        offset_right = np.asarray(_BETA_H0 - NEURON.beta * stim.right)
+        decay, c = np.array(1.0 - dt_tau), np.array(dt_tau * NEURON.r_max / 2)
+        offset_left = np.asarray((_BETA_H0 - NEURON.beta * stim.left) / 2)
+        offset_right = np.asarray((_BETA_H0 - NEURON.beta * stim.right) / 2)
         rates = self.rates
         if self._z.shape != rates.shape:
             self._z, self._shifted = np.empty(rates.shape), np.empty(rates.shape[1:])
@@ -204,10 +201,9 @@ class HDCNetwork:
             np.subtract(left, right, out=diff_rates)
             shift.dot(diff, out=shifted)
             z_h += shifted
-            # rates = (1 - dt/tau) rates + (dt/tau) r_max / (1 + exp(min(z, 709)))
-            np.minimum(z, _Z_MAX, out=z)
-            np.exp(z, out=z)
-            z += _ONE
-            np.divide(numerator, z, out=z)
+            # rates = (1 - dt/tau) rates + c - c tanh(z)
+            np.tanh(z, out=z)
             rates *= decay
-            rates += z
+            rates += c
+            z *= c
+            rates -= z

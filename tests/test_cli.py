@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hdcnav
 from hdcnav.cli import main
 from hdcnav.io import SyntheticProfile, generate, read_csv, write_csv
 from hdcnav.kernel import build_kernel, kernel_hash, load_kernel
@@ -182,6 +186,35 @@ def test_unreadable_json_file_names_it(tmp_path, capsys, content):
     assert main(["calibrate", "--kernel", str(kernel), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {kernel}: not a UTF-8 JSON file: ")
     assert not out.exists()
+
+
+def run_with_closed_stdout(argv):
+    """``python -m hdcnav.cli argv`` in a new process whose standard output
+    is a pipe with its read end already closed."""
+    src = str(Path(hdcnav.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "hdcnav.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+
+
+def test_closed_stdout_fails_only_a_failed_write(tmp_path):
+    # `hdcnav generate | true`: the summary cannot be printed once the file
+    # is written, which is not an error, and nothing is printed at exit.
+    out = tmp_path / "lap.csv"
+    done = run_with_closed_stdout(["generate", "--duration", "1", "--out", str(out)])
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert len(read_csv(out)) == len(generate(SyntheticProfile(duration=1.0)))
+    # A file that cannot be written is still an I/O error naming it.
+    missing = tmp_path / "no-such-dir" / "lap.csv"
+    done = run_with_closed_stdout(["generate", "--duration", "1", "--out", str(missing)])
+    assert done.returncode == 2
+    assert str(missing) in done.stderr.decode()
 
 
 def test_invalid_arguments_fail(tmp_path, kernel_file, calibration_file):

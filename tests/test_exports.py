@@ -1,14 +1,19 @@
 import ast
 import importlib
 import importlib.util
+import json
 import pathlib
 import pkgutil
+import shutil
+import subprocess
+import sys
 import types
 
 import pytest
 
 import hdcnav
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = [info.name for info in pkgutil.iter_modules(hdcnav.__path__)
            if hasattr(importlib.import_module(f"hdcnav.{info.name}"), "__all__")]
 
@@ -29,7 +34,7 @@ def test_package_reexports_are_public():
 def _benchmark_imports():
     """(file, module, name) of each import from hdcnav in perfbench/*.py;
     name is None for a plain ``import``."""
-    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    perfbench = ROOT / "perfbench"
     for path in sorted(perfbench.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -52,6 +57,27 @@ def test_benchmark_imports_resolve():
     imports = [i for i in _benchmark_imports() if i[1].split(".")[0] == "hdcnav"]
     assert imports
     assert [i for i in imports if not _resolves(*i[1:])] == []
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in json.loads(
+    (ROOT / "BENCHMARK.json").read_text())["workloads"]])
+def test_benchmark_smoke_run(workload):
+    # A 0.1 s run of each declared workload exits 0 and reports itself
+    # correct, so a narrowed signature fails here rather than in a
+    # benchmark run. The run's output directory is removed afterwards.
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", "1", "--seconds", "0.1", "--trace", "0"]
+    with subprocess.Popen(argv, cwd=ROOT, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=300)
+        finally:
+            proc.kill()   # does nothing once the run has exited
+            proc.wait()
+            shutil.rmtree(ROOT / "perfbench" / "out" / f"{workload}-seed1-trace0-{proc.pid}",
+                          ignore_errors=True)
+    assert proc.returncode == 0, err
+    assert json.loads(out.splitlines()[-1])["correct"] is True
 
 
 def test_only_io_opens_files():

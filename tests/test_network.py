@@ -26,10 +26,10 @@ def wrapped_deg(a, b):
 
 
 def test_stimulus_validation():
-    with pytest.raises(ValueError):
-        TurningStimulus(left=-0.1)
-    with pytest.raises(ValueError):
-        TurningStimulus(right=float("nan"))
+    for side in ("left", "right"):
+        for value in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                TurningStimulus(**{side: value})
 
 
 def decode_rates(kernel, hdc_rates):
@@ -71,12 +71,19 @@ def test_batched_decode_reports_degenerate_columns(kernel):
     assert headings[2] == pytest.approx(1.0 + np.pi / 2, abs=1e-6)
 
 
+def settled_rates(kernel, heading):
+    """The rates of a single network after ``init_at(heading)``."""
+    net = HDCNetwork(kernel)
+    net.init_at(heading)
+    return net.rates
+
+
 def test_batch_matches_single_networks(kernel):
     headings = np.array([0.5, 2.0, 4.0])
     left, right = np.array([0.03, 0.0, 0.05]), np.array([0.0, 0.04, 0.02])
     frames = (0.0103, 0.0097, 0.0104) * 10  # off the 0.5 ms Euler grid
     batch = HDCNetwork(kernel)
-    batch.init_at(headings)
+    batch.rates = np.stack([settled_rates(kernel, h) for h in headings], axis=-1)
     for frame_dt in frames:
         batch.run_frame(TurningStimulus(left, right), frame_dt)
     batch.step(TurningStimulus(left, right))
@@ -97,7 +104,7 @@ def test_batch_matches_single_networks(kernel):
 
 def test_batch_refuses_mismatched_stimulus(kernel):
     net = HDCNetwork(kernel)
-    net.init_at(np.zeros(2))
+    net.rates = np.repeat(settled_rates(kernel, 0.0)[..., np.newaxis], 2, axis=2)
     with pytest.raises(ValueError):
         net.run_frame(TurningStimulus(left=np.zeros(3)), 0.01)
     with pytest.raises(ValueError):
@@ -111,10 +118,14 @@ def test_batch_refuses_mismatched_stimulus(kernel):
         TurningStimulus(left=np.array([0.01, -0.01]))
     with pytest.raises(ValueError):
         TurningStimulus(right=np.array([0.01, np.inf]))
+    # init_at takes one finite heading; a batch comes only from rates.
     with pytest.raises(ValueError):
         single.init_at(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         single.init_at(np.array([0.0, np.nan]))
+    with pytest.raises(ValueError):   # length n would broadcast over the cells
+        single.init_at(np.zeros(kernel.n))
+    assert single.rates.shape == (3, kernel.n)
 
 
 def test_init_at_grid_consistency(kernel):
@@ -290,34 +301,37 @@ def _n_steps(frame_dt):
 
 def _expression_frame(kernel, rates, stim, frame_dt):
     """``run_frame`` with the inputs, the sigmoid and the update as whole
-    expressions in z = -beta (u - h0): -beta folded into the rings and
-    beta h0 into a last shift column that meets a one below f_L - f_R.
+    expressions in the tanh form r_max / 2 (1 - tanh(z)), z = -beta (u - h0) / 2:
+    -beta/2 folded into the rings and beta h0 / 2 into a last shift column
+    that meets a one below f_L - f_R.
 
     Same operations in the same order, on matrices in the same memory
     order, as the buffered step, so the two must agree bit for bit.
     """
     p = NEURON
     bias = p.beta * p.h0
-    recurrent = np.asfortranarray(_ring(kernel.h_to_h) * -p.beta)
-    shift = np.asfortranarray(np.column_stack((_ring(kernel.s_to_h) * -p.beta,
-                                               np.full(kernel.n, bias))))
+    recurrent = np.asfortranarray(_ring(kernel.h_to_h) * (-p.beta / 2))
+    shift = np.asfortranarray(np.column_stack((_ring(kernel.s_to_h) * (-p.beta / 2),
+                                               np.full(kernel.n, bias / 2))))
     n_steps = _n_steps(frame_dt)
     dt_tau = frame_dt / n_steps / p.tau
-    offset_left, offset_right = bias - p.beta * stim.left, bias - p.beta * stim.right
+    c = dt_tau * p.r_max / 2
+    offset_left = (bias - p.beta * stim.left) / 2
+    offset_right = (bias - p.beta * stim.right) / 2
     for _ in range(n_steps):
         hdc, left, right = rates
         drive = recurrent @ hdc
         half = drive * 0.5
         diff = np.concatenate((left - right, np.ones((1,) + left.shape[1:])))
         z = np.array((drive + shift @ diff, half + offset_left, half + offset_right))
-        rates = (1.0 - dt_tau) * rates + dt_tau * p.r_max / (1.0 + np.exp(np.minimum(z, 709.0)))
+        rates = (1.0 - dt_tau) * rates + c - c * np.tanh(z)
     return rates
 
 
 def _exp_form_frame(kernel, rates, stim, frame_dt):
     """``run_frame`` in the model's own terms: the inputs u, the transfer
     r_max / (1 + exp(-beta (u - h0))) and rates += dt/tau (transfer - rates).
-    Rounds differently from the folded step."""
+    Rounds differently from the tanh step."""
     p = NEURON
     recurrent, shift = _ring(kernel.h_to_h), _ring(kernel.s_to_h)
     n_steps = _n_steps(frame_dt)
@@ -333,18 +347,24 @@ def _exp_form_frame(kernel, rates, stim, frame_dt):
     return rates
 
 
-def _init(frame, kernel, heading):
+def _init(frame, kernel, headings):
+    """``init_at`` by ``frame`` from each heading, the settled states stacked
+    on a last axis, or the single state of a scalar heading."""
     curve = kernel.curve
-    profile = curve.evaluate(np.subtract.outer(curve.preferred_directions, heading))
-    return frame(kernel, np.stack((profile, profile / 2.0, profile / 2.0)),
-                 ZERO_STIMULUS, SETTLE_SECONDS)
+    states = []
+    for heading in np.atleast_1d(headings):
+        profile = curve.evaluate(curve.preferred_directions - heading)
+        states.append(frame(kernel, np.stack((profile, profile / 2.0, profile / 2.0)),
+                            ZERO_STIMULUS, SETTLE_SECONDS))
+    return np.stack(states, axis=-1) if np.ndim(headings) else states[0]
 
 
 def test_run_frame_is_bit_identical_to_the_expression_step(kernel):
-    # One network through single -> batch -> single states by init_at, then
-    # rates assigned directly (a new batch size, then single twice); each
-    # state runs 1, 1.05 and 10 ms frames with both stimuli non-zero. The
-    # exp-form step agrees to rounding, from init_at's 0.5 s settle on.
+    # One network through single -> batch -> single states by init_at (the
+    # batch stacks the settled states of its headings), then rates assigned
+    # directly (a new batch size, then single twice); each state runs 1,
+    # 1.05 and 10 ms frames with both stimuli non-zero. The exp-form step
+    # agrees to rounding, from init_at's 0.5 s settle on.
     rng = np.random.default_rng(21)
     single = TurningStimulus(left=0.03, right=0.012)
     net = HDCNetwork(kernel)
@@ -353,7 +373,10 @@ def test_run_frame_is_bit_identical_to_the_expression_step(kernel):
             net.rates = rng.uniform(0.0, 76.2, (3, kernel.n) + start)
             expected = reference = net.rates.copy()
         else:
-            net.init_at(start)
+            if np.ndim(start):
+                net.rates = np.stack([settled_rates(kernel, h) for h in start], axis=-1)
+            else:
+                net.init_at(start)
             expected = _init(_expression_frame, kernel, start)
             reference = _init(_exp_form_frame, kernel, start)
             assert np.array_equal(net.rates, expected)
@@ -373,9 +396,10 @@ def test_run_frame_allocates_no_array(kernel):
     # Python's allocator sees every numpy array. A frame's traced peak stays
     # below one (3, n) input array and does not grow with the batch size.
     peaks = []
-    for heading in (0.0, np.zeros(20)):
+    single = settled_rates(kernel, 0.0)
+    for rates in (single, np.repeat(single[..., np.newaxis], 20, axis=2)):
         net = HDCNetwork(kernel)
-        net.init_at(heading)
+        net.rates = rates
         stim = TurningStimulus(left=0.03, right=0.01)
         net.run_frame(stim, 0.01)
         tracemalloc.start()
