@@ -9,7 +9,8 @@ columns of one batched network, tiled from one settled state.
 A calibration belongs to one weight kernel and one Euler step:
 ``fit_gain`` and ``load_calibration`` both take the kernel, the file
 records its hash and the step ``dt`` the sweep ran at, and a load
-refuses a file made for another kernel or another step.
+refuses a file made for another kernel or another step; a replay
+refuses a gain of another kernel (``StimulusGain.check_kernel``).
 """
 
 import math
@@ -62,7 +63,7 @@ class SweepSample:
 
 @dataclass(frozen=True)
 class StimulusGain:
-    """Inverted linear law: stimulus = alpha * |angular velocity|."""
+    """Inverted linear law, stimulus = alpha * |omega|, and the one yaw-rate rule."""
 
     alpha: float
     fit_r2: float
@@ -72,24 +73,36 @@ class StimulusGain:
     def stimulus_for(self, omega: float) -> float:
         return self.alpha * abs(omega)
 
+    def stimulus(self, omega: float) -> TurningStimulus:
+        """stimulus_for(omega) on the left layer if omega >= 0.0, else on the right."""
+        level = self.stimulus_for(omega)
+        return TurningStimulus(level, 0.0) if omega >= 0.0 else TurningStimulus(0.0, level)
+
+    def check_kernel(self, kernel: WeightKernel):
+        """Raise CalibrationMismatchError unless this gain was fit for ``kernel``."""
+        expected = kernel_hash(kernel)
+        if self.kernel_hash != expected:
+            raise CalibrationMismatchError(
+                "calibration was produced for a different kernel "
+                f"(hash {self.kernel_hash[:12]}... vs {expected[:12]}...)")
+
 
 def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
           duration: float = SWEEP_DURATION) -> list:
     """Measure bump velocity for each stimulus level on the shift-left layer.
 
-    One network settled at pi is tiled into a batch that runs every level
-    at once, one column per level, decoded every ``SWEEP_FRAME_DT``. The
-    first half of the run is discarded as transient; a level's velocity
-    is the slope of its unwrapped heading over the second half. Levels at
-    which the bump collapses, or at which a positive level does not move
-    it forward (it reverses at strong stimuli), are reported as
-    degenerate samples and later excluded from the fit.
+    ``TurningStimulus`` checks the levels before any network is built. One
+    network settled at pi is tiled into a batch, one column per level,
+    decoded every ``SWEEP_FRAME_DT``. A level's velocity is the slope of
+    its unwrapped heading over the second half of the run (the first is
+    transient). Levels at which the bump collapses, or at which a positive
+    level does not move it forward (it reverses at strong stimuli), are
+    degenerate samples, later excluded from the fit.
     """
     levels = np.asarray(stimuli, dtype=float)
-    if levels.ndim != 1 or levels.size == 0 or not np.isfinite(levels).all():
-        raise ValueError("stimulus levels must be a non-empty list of finite values")
-    if np.any(levels < 0):
-        raise ValueError("stimulus levels must be non-negative")
+    if levels.ndim != 1 or levels.size == 0:
+        raise ValueError("stimulus levels must be a non-empty list")
+    stimulus = TurningStimulus(left=levels)
     if np.any(np.diff(levels) < 0):
         raise ValueError("stimulus levels must be ascending")
     if not 2.0 <= duration < math.inf:
@@ -97,7 +110,6 @@ def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
     net = HDCNetwork(kernel)
     net.init_at(np.pi)
     net.rates = np.repeat(net.rates[..., np.newaxis], levels.size, axis=2)
-    stimulus = TurningStimulus(left=levels)
     n_frames = int(round(duration / SWEEP_FRAME_DT))
     headings = [net.decode()]
     for _ in range(n_frames):
@@ -169,9 +181,13 @@ def load_calibration(path, kernel: WeightKernel) -> StimulusGain:
     mistyped or out-of-range keys before any step or hash is compared."""
     doc = read_json(path, {"alpha": float, "fit_r2": float, "max_velocity": float,
                            "kernel_hash": str, "dt": float})
-    # fit_gain writes alpha = 1/slope > 0 and a max_velocity of 0 or more.
+    # fit_gain writes alpha = 1/slope > 0, an R^2 in [0.99, 1] and a
+    # max_velocity of 0 or more.
     if doc["alpha"] <= 0.0:
         raise ValueError(f"{path}: 'alpha' must be positive, got {doc['alpha']!r}")
+    if not _MIN_FIT_R2 <= doc["fit_r2"] <= 1.0:
+        raise ValueError(f"{path}: 'fit_r2' must be in [{_MIN_FIT_R2}, 1], "
+                         f"got {doc['fit_r2']!r}")
     if doc["max_velocity"] < 0.0:
         raise ValueError(f"{path}: 'max_velocity' must be >= 0, "
                          f"got {doc['max_velocity']!r}")
@@ -182,8 +198,5 @@ def load_calibration(path, kernel: WeightKernel) -> StimulusGain:
             "re-run `hdcnav calibrate`")
     gain = StimulusGain(alpha=doc["alpha"], fit_r2=doc["fit_r2"],
                         max_velocity=doc["max_velocity"], kernel_hash=doc["kernel_hash"])
-    if gain.kernel_hash != kernel_hash(kernel):
-        raise CalibrationMismatchError(
-            "calibration was produced for a different kernel "
-            f"(hash {gain.kernel_hash[:12]}... vs {kernel_hash(kernel)[:12]}...)")
+    gain.check_kernel(kernel)
     return gain

@@ -25,6 +25,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -191,6 +192,8 @@ class SyntheticProfile:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 # -- CSV ----------------------------------------------------------------

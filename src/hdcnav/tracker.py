@@ -21,7 +21,7 @@ from .calibration import StimulusGain
 from .io import (ROWS_PER_CHUNK, TWO_PI, Trajectory, cumulative_trapezoid,
                  wrap_heading, write_json, write_table)
 from .kernel import WeightKernel
-from .network import HDCNetwork, TurningStimulus
+from .network import HDCNetwork
 
 __all__ = ["SampleResult", "TimingStats", "TrackingReport", "track",
            "baseline_integrate", "wrapped_error", "benchmark"]
@@ -138,15 +138,16 @@ def track(trajectory: Trajectory, kernel: WeightKernel, gain: StimulusGain,
           initial_heading: float = 0.0) -> TrackingReport:
     """Replay a trajectory through the network and collect the report.
 
-    The stimulus for each inter-sample interval is alpha * |omega| of the
-    sample closing the interval, applied to the shift layer matching the
-    turn direction; the other layer receives zero. Per-frame wall-clock
-    compute times are recorded alongside the decoded headings. A replay
-    needs at least two samples, so that it has one frame to time.
+    Each inter-sample interval runs ``gain.stimulus`` of the yaw rate of
+    the sample closing it. Per-frame wall-clock times of ``run_frame``
+    plus ``decode`` are recorded alongside the decoded headings. A replay
+    needs at least two samples, so that it has one frame to time, and a
+    gain fit for ``kernel`` (else CalibrationMismatchError).
     """
     n = len(trajectory)
     if n < 2:
         raise ValueError(f"track needs at least two samples (one frame), got {n}")
+    gain.check_kernel(kernel)
     net = HDCNetwork(kernel)
     net.init_at(initial_heading)
 
@@ -156,10 +157,7 @@ def track(trajectory: Trajectory, kernel: WeightKernel, gain: StimulusGain,
     frame_s = np.empty(n - 1)
     decoded[0] = net.decode()
     for k in range(1, n):
-        w = omega[k]
-        level = gain.stimulus_for(w)
-        stim = (TurningStimulus(left=level, right=0.0) if w >= 0.0
-                else TurningStimulus(left=0.0, right=level))
+        stim = gain.stimulus(omega[k])
         start = time.perf_counter()
         net.run_frame(stim, t[k] - t[k - 1])
         heading = net.decode()

@@ -144,7 +144,7 @@ def test_c6_shape_preservation_during_rotation(kernel, gain):
     settled = net.rates[0].copy()
     n = kernel.n
     freqs = np.fft.fftfreq(n, 1.0 / n)
-    stim = TurningStimulus(left=gain.stimulus_for(math.radians(20)))
+    stim = gain.stimulus(math.radians(20))
     net.run_frame(stim, 1.0)  # spin-up
     worst = 0.0
     for _ in range(100):  # one second of frames

@@ -75,6 +75,19 @@ def test_stimulus_for_uses_absolute_velocity():
     assert gain.stimulus_for(0.5) == pytest.approx(0.05)
 
 
+@pytest.mark.parametrize("omega, side", [(0.3, "left"), (-0.3, "right"),
+                                         (0.0, "left"), (-0.0, "left")])
+def test_stimulus_drives_the_layer_of_the_turn(omega, side):
+    # The sweep measures left drive as positive velocity, so omega >= 0
+    # (-0.0 too) drives the left layer and the other layer gets exactly 0.0.
+    gain = StimulusGain(alpha=0.0877, fit_r2=1.0, max_velocity=1.0, kernel_hash="")
+    stim = gain.stimulus(omega)
+    other = "right" if side == "left" else "left"
+    assert getattr(stim, side) == gain.stimulus_for(omega)
+    assert getattr(stim, other) == 0.0
+    assert type(stim) is TurningStimulus
+
+
 def test_sweep_input_validation(kernel):
     with pytest.raises(ValueError):
         sweep(kernel, [0.02, 0.01])  # not ascending
@@ -229,6 +242,12 @@ def test_load_refuses_mistyped_step(tmp_path, kernel, gain):
                  "'alpha' must be positive, got -0.0877", id="negative-alpha"),
     pytest.param(lambda d: {**d, "max_velocity": -1.0},
                  "'max_velocity' must be >= 0, got -1.0", id="negative-max_velocity"),
+    pytest.param(lambda d: {**d, "fit_r2": 0.5},
+                 r"'fit_r2' must be in \[0.99, 1\], got 0.5", id="low-fit_r2"),
+    pytest.param(lambda d: {**d, "fit_r2": 1.5},
+                 r"'fit_r2' must be in \[0.99, 1\], got 1.5", id="high-fit_r2"),
+    pytest.param(lambda d: {**d, "fit_r2": -5.0},
+                 r"'fit_r2' must be in \[0.99, 1\], got -5.0", id="negative-fit_r2"),
 ])
 def test_load_rejects_malformed_file(tmp_path, kernel, gain, edit, message):
     path = tmp_path / "calibration.json"

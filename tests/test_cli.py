@@ -217,7 +217,7 @@ def test_closed_stdout_fails_only_a_failed_write(tmp_path):
     assert str(missing) in done.stderr.decode()
 
 
-def test_invalid_arguments_fail(tmp_path, kernel_file, calibration_file):
+def test_invalid_arguments_fail(tmp_path, capsys, kernel_file, calibration_file):
     # both --trajectory and --oxts given
     with pytest.raises(SystemExit) as info:
         main(["track", "--kernel", kernel_file,
@@ -231,6 +231,12 @@ def test_invalid_arguments_fail(tmp_path, kernel_file, calibration_file):
     assert not noise.exists()
     assert main(["generate", "--kind", "balanced_maze", "--noise-sigma", "0.1",
                  "--out", str(noise)]) == 0
+    # a negative seed is refused by the profile, naming the field
+    seeded = tmp_path / "seeded.csv"
+    capsys.readouterr()
+    assert main(["generate", "--seed", "-1", "--out", str(seeded)]) == 1
+    assert not seeded.exists()
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2_before_reading_files(tmp_path, kernel_file,

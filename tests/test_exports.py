@@ -96,3 +96,20 @@ def test_only_io_opens_files():
             elif isinstance(node, ast.ImportFrom) and node.module == "csv":
                 found.append((path.name, "csv"))
     assert found == []
+
+
+def test_only_network_and_calibration_build_stimuli():
+    # StimulusGain.stimulus is the one yaw-rate rule: no other module builds
+    # a TurningStimulus, so a second copy of the rule cannot come back.
+    src = pathlib.Path(hdcnav.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("network.py", "calibration.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and (
+                    (isinstance(node.func, ast.Name) and node.func.id == "TurningStimulus")
+                    or (isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "TurningStimulus")):
+                found.append((path.name, node.lineno))
+    assert found == []

@@ -319,6 +319,10 @@ def test_profile_validation():
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
                 SyntheticProfile("balanced_maze", **{field: value})
+    for seed in (-1, 1.5, True, "3", None):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SyntheticProfile("balanced_maze", seed=seed)
+    assert SyntheticProfile(seed=np.int64(3)).seed == 3
 
 
 def test_constant_rotation_one_lap():

@@ -242,10 +242,7 @@ def maze_final_heading(kernel, gain, dt):
     net.rates = np.stack((profile, profile / 2.0, profile / 2.0))
     run_sliced(net, ZERO_STIMULUS, SETTLE_SECONDS, dt)
     for k in range(1, len(t)):
-        level = gain.stimulus_for(omega[k])
-        stim = (TurningStimulus(left=level) if omega[k] >= 0
-                else TurningStimulus(right=level))
-        run_sliced(net, stim, t[k] - t[k - 1], dt)
+        run_sliced(net, gain.stimulus(omega[k]), t[k] - t[k - 1], dt)
     return net.decode()
 
 

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hdcnav import tracker
+from hdcnav.calibration import CalibrationMismatchError
 from hdcnav.io import SyntheticProfile, Trajectory, generate
+from hdcnav.kernel import build_kernel
 from hdcnav.network import HDCNetwork, TurningStimulus
 from hdcnav.tracker import (SampleResult, TimingStats, baseline_integrate,
                             benchmark, track, wrapped_error)
@@ -179,6 +182,21 @@ def test_baseline_matches_stepwise_reference(steps, initial):
     records = Trajectory(t, [w for _, w in steps])
     got = baseline_integrate(records, initial)
     assert _wrapped_rad(got, _reference_baseline(records, initial)).max() <= 1e-9
+
+
+def test_track_refuses_gain_of_another_kernel(gain, monkeypatch):
+    # The default kernel's gain would run this kernel's default lap to a 90
+    # degree mean error, so the pairing is refused before a network is built.
+    def no_network(*args, **kwargs):
+        raise AssertionError("track built a network before checking the gain")
+
+    monkeypatch.setattr(tracker, "HDCNetwork", no_network)
+    records = generate(SyntheticProfile(duration=1.0))
+    with pytest.raises(CalibrationMismatchError,
+                       match="calibration was produced for a different kernel"):
+        track(records, build_kernel(gamma=0.7), gain)
+    with pytest.raises(CalibrationMismatchError):
+        benchmark(records, build_kernel(gamma=0.7), gain)
 
 
 def test_track_refuses_single_sample(kernel, gain):
