@@ -14,7 +14,7 @@ refuses a gain of another kernel (``StimulusGain.check_kernel``).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,12 +63,22 @@ class SweepSample:
 
 @dataclass(frozen=True)
 class StimulusGain:
-    """Inverted linear law, stimulus = alpha * |omega|, and the one yaw-rate rule."""
+    """Inverted linear law, stimulus = alpha * |omega|, and the one yaw-rate rule.
+    A calibration file holds its fields and ``dt``. It refuses, naming the field,
+    an alpha outside (0, inf), fit_r2 outside [0.99, 1] or max_velocity outside [0, inf)."""
 
     alpha: float
     fit_r2: float
     max_velocity: float   # largest validated angular speed [rad/s]
     kernel_hash: str
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"'alpha' must be positive, got {self.alpha!r}")
+        if not _MIN_FIT_R2 <= self.fit_r2 <= 1.0:
+            raise ValueError(f"'fit_r2' must be in [{_MIN_FIT_R2}, 1], got {self.fit_r2!r}")
+        if not 0.0 <= self.max_velocity < math.inf:
+            raise ValueError(f"'max_velocity' must be >= 0, got {self.max_velocity!r}")
 
     def stimulus_for(self, omega: float) -> float:
         return self.alpha * abs(omega)
@@ -130,9 +140,9 @@ def fit_gain(samples, kernel: WeightKernel) -> StimulusGain:
     of ``kernel``, whose hash the result carries.
 
     ``samples`` are SweepSamples. Degenerate levels, levels that are not
-    positive and non-finite velocities are excluded, and every error names
-    them; a fit with R^2 below 0.99 is rejected since it indicates a
-    mis-built kernel or flipped sign convention.
+    positive and non-finite velocities are excluded. GainFitError, naming
+    them, refuses too few usable levels, an R^2 below 0.99 (a mis-built
+    kernel or flipped sign convention) and a slope too small to invert.
     """
     pairs, excluded = [], []
     for sample in samples:
@@ -152,8 +162,6 @@ def fit_gain(samples, kernel: WeightKernel) -> StimulusGain:
     s = np.array([p[0] for p in pairs])
     v = np.array([p[1] for p in pairs])
     slope = float(np.dot(s, v) / np.dot(s, s))
-    if slope <= 0:
-        raise GainFitError(f"non-positive velocity/stimulus slope {slope:.4g}{note}")
     residuals = v - slope * s
     ss_tot = float(np.sum((v - v.mean()) ** 2))
     r2 = 1.0 - float(np.sum(residuals ** 2)) / ss_tot if ss_tot > 0 else 1.0
@@ -161,12 +169,11 @@ def fit_gain(samples, kernel: WeightKernel) -> StimulusGain:
         raise GainFitError(f"sweep is not linear: R^2 = {r2:.4f} < {_MIN_FIT_R2}{note}")
     within = np.abs(residuals) < _LINEAR_RESIDUAL_FRACTION * np.abs(v)
     max_velocity = float(np.max(np.abs(v[within]))) if np.any(within) else 0.0
-    return StimulusGain(
-        alpha=1.0 / slope,
-        fit_r2=r2,
-        max_velocity=max_velocity,
-        kernel_hash=kernel_hash(kernel),
-    )
+    try:  # velocities so small that the slope underflows give no gain
+        return StimulusGain(alpha=1.0 / slope, fit_r2=r2, max_velocity=max_velocity,
+                            kernel_hash=kernel_hash(kernel))
+    except (ZeroDivisionError, ValueError) as exc:
+        raise GainFitError(f"slope {slope:.4g} gives no gain: {exc}{note}") from None
 
 
 def save_calibration(gain: StimulusGain, path):
@@ -175,28 +182,20 @@ def save_calibration(gain: StimulusGain, path):
 
 
 def load_calibration(path, kernel: WeightKernel) -> StimulusGain:
-    """Load a calibration file made for ``kernel`` at the step
-    ``DEFAULT_DT``, refusing one built for a different kernel or step; a
-    malformed one raises ValueError naming the file and the missing,
-    mistyped or out-of-range keys before any step or hash is compared."""
-    doc = read_json(path, {"alpha": float, "fit_r2": float, "max_velocity": float,
-                           "kernel_hash": str, "dt": float})
-    # fit_gain writes alpha = 1/slope > 0, an R^2 in [0.99, 1] and a
-    # max_velocity of 0 or more.
-    if doc["alpha"] <= 0.0:
-        raise ValueError(f"{path}: 'alpha' must be positive, got {doc['alpha']!r}")
-    if not _MIN_FIT_R2 <= doc["fit_r2"] <= 1.0:
-        raise ValueError(f"{path}: 'fit_r2' must be in [{_MIN_FIT_R2}, 1], "
-                         f"got {doc['fit_r2']!r}")
-    if doc["max_velocity"] < 0.0:
-        raise ValueError(f"{path}: 'max_velocity' must be >= 0, "
-                         f"got {doc['max_velocity']!r}")
+    """Load a calibration file made for ``kernel`` at the step ``DEFAULT_DT``,
+    refusing one made for another kernel or step. A malformed file (a key
+    missing or mistyped, else a value ``StimulusGain`` refuses) raises
+    ValueError naming it, before any step or hash is compared."""
+    spec = {f.name: f.type for f in fields(StimulusGain)}
+    doc = read_json(path, {**spec, "dt": float})
+    try:
+        gain = StimulusGain(**{name: doc[name] for name in spec})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if doc["dt"] != DEFAULT_DT:
         raise CalibrationMismatchError(
             f"{path}: calibration was made at an Euler step of {doc['dt'] * 1e3:g} ms, "
             f"but the network steps at {DEFAULT_DT * 1e3:g} ms; "
             "re-run `hdcnav calibrate`")
-    gain = StimulusGain(alpha=doc["alpha"], fit_r2=doc["fit_r2"],
-                        max_velocity=doc["max_velocity"], kernel_hash=doc["kernel_hash"])
     gain.check_kernel(kernel)
     return gain

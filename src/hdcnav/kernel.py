@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -57,6 +58,9 @@ class TuningCurve:
     b: float = field(default=None)
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, Integral):
+            raise ValueError(f"'n': must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if self.n < 4:
             raise ValueError(f"'n': need at least 4 neurons, got {self.n}")
         # With a, b and m positive the profile falls from its peak

@@ -5,6 +5,7 @@ All rates are in Hz, inputs in dimensionless synaptic-current units, time
 in seconds.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +23,15 @@ class NeuronParams:
     h0: float = 2.46       # sigmoid midpoint [input units]
 
     def __post_init__(self):
-        if self.tau <= 0:
+        # Each comparison is written so that NaN fails it.
+        if not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.r_max <= 0:
+        if not 0 < self.r_max < math.inf:
             raise ValueError(f"r_max must be positive, got {self.r_max}")
-        if self.beta <= 0:
+        if not 0 < self.beta < math.inf:
             raise ValueError(f"beta must be positive, got {self.beta}")
+        if not math.isfinite(self.h0):
+            raise ValueError(f"h0 must be finite, got {self.h0}")
 
     @property
     def max_dt(self) -> float:

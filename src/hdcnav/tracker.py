@@ -14,6 +14,7 @@ import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -182,8 +183,8 @@ def track(trajectory: Trajectory, kernel: WeightKernel, gain: StimulusGain,
 def benchmark(trajectory: Trajectory, kernel: WeightKernel, gain: StimulusGain,
               repetitions: int = 1) -> TimingStats:
     """Aggregate per-frame compute times over repeated replays."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    if isinstance(repetitions, bool) or not isinstance(repetitions, Integral) or repetitions < 1:
+        raise ValueError(f"repetitions must be an integer >= 1, got {repetitions!r}")
     return TimingStats.from_samples(np.concatenate(
         [track(trajectory, kernel, gain).frame_s
          for _ in range(repetitions)]))

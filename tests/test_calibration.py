@@ -1,15 +1,17 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 from hdcnav import calibration
 from hdcnav.calibration import (SWEEP_FRAME_DT, CalibrationMismatchError,
                                 GainFitError, StimulusGain, SweepSample,
                                 fit_gain, load_calibration, save_calibration,
                                 sweep)
-from hdcnav.kernel import build_kernel
+from hdcnav.kernel import build_kernel, kernel_hash
 from hdcnav.network import (DEFAULT_DT, DegenerateActivityError, HDCNetwork,
                             TurningStimulus)
 
@@ -45,6 +47,23 @@ def test_fit_rejects_negative_slope(kernel):
         fit_gain(synthetic_samples(-3.0), kernel)
 
 
+# Velocities so small that every s * v underflows (slope 0), or that the
+# slope inverts to an infinite alpha.
+@example([(1e-4, 5e-324)] * 5)
+@example([(s, 1e-320) for s in (1e-4, 2e-4, 3e-4, 4e-4, 5e-4)])
+@seed(1234)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(1e-4, 1.0),
+                          st.one_of(st.floats(-1e3, 1e3), st.just(math.nan))),
+                max_size=12))
+def test_fit_gives_a_valid_gain_or_gain_fit_error(kernel, pairs):
+    try:
+        gain = fit_gain([SweepSample(s, v) for s, v in pairs], kernel)
+    except GainFitError:
+        return
+    assert 0.0 < gain.alpha < math.inf
+
+
 def test_fit_requires_enough_samples(kernel):
     with pytest.raises(GainFitError):
         fit_gain(synthetic_samples(12.0, levels=(0.01, 0.02, 0.03)), kernel)
@@ -67,6 +86,29 @@ def test_sweep_marks_reversed_bump_degenerate(kernel):
     with pytest.raises(GainFitError, match=r"excluded levels: 0 \(not positive\), "
                        r"3 \(degenerate, velocity nan rad/s\), 5 \(degenerate"):
         fit_gain(samples, kernel=kernel)
+
+
+@pytest.mark.parametrize("fields, message", [
+    # Each field out of range at once: alpha, the first checked, is named.
+    pytest.param(dict(alpha=-0.08, fit_r2=-5.0, max_velocity=-1.0),
+                 "'alpha' must be positive, got -0.08", id="all-out-of-range"),
+    pytest.param(dict(alpha=-0.08), "'alpha' must be positive, got -0.08", id="alpha-negative"),
+    pytest.param(dict(alpha=0.0), "'alpha' must be positive, got 0.0", id="alpha-zero"),
+    pytest.param(dict(alpha=math.nan), "'alpha' must be positive, got nan", id="alpha-nan"),
+    pytest.param(dict(alpha=math.inf), "'alpha' must be positive, got inf", id="alpha-inf"),
+    pytest.param(dict(fit_r2=0.5), r"'fit_r2' must be in \[0.99, 1\], got 0.5", id="fit_r2-low"),
+    pytest.param(dict(fit_r2=1.5), r"'fit_r2' must be in \[0.99, 1\], got 1.5", id="fit_r2-high"),
+    pytest.param(dict(fit_r2=math.nan), r"'fit_r2' must be in \[0.99, 1\], got nan",
+                 id="fit_r2-nan"),
+    pytest.param(dict(max_velocity=-1.0), "'max_velocity' must be >= 0, got -1.0",
+                 id="max_velocity-negative"),
+    pytest.param(dict(max_velocity=math.inf), "'max_velocity' must be >= 0, got inf",
+                 id="max_velocity-inf"),
+])
+def test_gain_built_in_code_is_refused_when_built(kernel, fields, message):
+    valid = dict(alpha=0.0877, fit_r2=1.0, max_velocity=1.0, kernel_hash=kernel_hash(kernel))
+    with pytest.raises(ValueError, match=message):
+        StimulusGain(**{**valid, **fields})
 
 
 def test_stimulus_for_uses_absolute_velocity():
@@ -101,6 +143,7 @@ def test_sweep_input_validation(kernel):
     pytest.param([], 4.0, id="levels0"),
     pytest.param([0.01, float("nan")], 4.0, id="levels1"),
     pytest.param([0.01, float("inf")], 4.0, id="levels2"),
+    pytest.param([-0.01, 0.02], 4.0, id="levels3"),
     pytest.param([0.01, 0.02], float("inf"), id="duration-inf"),
     pytest.param([0.01, 0.02], float("nan"), id="duration-nan"),
 ])

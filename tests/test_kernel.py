@@ -132,6 +132,20 @@ def test_tuning_curve_validation():
                     {"m": math.inf}, {"m": math.nan}):
         with pytest.raises(ValueError, match="'curve'"):
             TuningCurve(**options)
+    # n counts cells: a float, even an integral one, a bool or a string is no count.
+    for n in (100.0, 4.5, True, "100", None):
+        with pytest.raises(ValueError, match="'n': must be an integer"):
+            TuningCurve(n=n)
+
+
+def test_numpy_integer_n_is_the_default_kernel(tmp_path, kernel):
+    curve = TuningCurve(n=np.int64(100))
+    assert type(curve.n) is int
+    numpy_n = build_kernel(curve)
+    assert numpy_n == kernel and kernel_hash(numpy_n) == kernel_hash(kernel)
+    path = tmp_path / "kernel.json"
+    save_kernel(numpy_n, path)
+    assert load_kernel(path) == kernel
 
 
 def test_tuning_curve_even_symmetry():

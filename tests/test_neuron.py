@@ -97,7 +97,12 @@ def test_euler_rejects_shape_mismatch():
 
 
 @pytest.mark.parametrize("kwargs", [dict(tau=0.0), dict(tau=-1.0),
-                                    dict(r_max=0.0), dict(beta=-0.1)])
+                                    dict(r_max=0.0), dict(beta=-0.1),
+                                    dict(tau=math.nan), dict(tau=math.inf),
+                                    dict(r_max=math.nan), dict(r_max=math.inf),
+                                    dict(beta=math.nan), dict(beta=math.inf),
+                                    dict(h0=math.nan), dict(h0=math.inf),
+                                    dict(h0=-math.inf)])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         NeuronParams(**kwargs)

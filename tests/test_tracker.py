@@ -126,8 +126,9 @@ def test_benchmark_aggregates_repetitions(kernel, gain):
                                         math.radians(20), 1.0))
     stats = benchmark(records, kernel, gain, repetitions=2)
     assert stats.frame_count == 2 * (len(records) - 1)
-    with pytest.raises(ValueError):
-        benchmark(records, kernel, gain, repetitions=0)
+    for repetitions in (0, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="repetitions must be an integer >= 1"):
+            benchmark(records, kernel, gain, repetitions=repetitions)
 
 
 # -- columnar report ----------------------------------------------------
