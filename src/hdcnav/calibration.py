@@ -140,9 +140,10 @@ def fit_gain(samples, kernel: WeightKernel) -> StimulusGain:
     of ``kernel``, whose hash the result carries.
 
     ``samples`` are SweepSamples. Degenerate levels, levels that are not
-    positive and non-finite velocities are excluded. GainFitError, naming
-    them, refuses too few usable levels, an R^2 below 0.99 (a mis-built
-    kernel or flipped sign convention) and a slope too small to invert.
+    positive and non-finite velocities are excluded, so a usable velocity
+    is positive. GainFitError, naming them, refuses too few usable levels
+    and any fit ``StimulusGain`` refuses: an R^2 below 0.99 (a bad kernel
+    or sign convention), none (a flat sweep) or a slope too small to invert.
     """
     pairs, excluded = [], []
     for sample in samples:
@@ -159,21 +160,19 @@ def fit_gain(samples, kernel: WeightKernel) -> StimulusGain:
     if len(pairs) < _MIN_FIT_SAMPLES:
         raise GainFitError(f"need at least {_MIN_FIT_SAMPLES} usable samples, "
                            f"got {len(pairs)}{note}")
-    s = np.array([p[0] for p in pairs])
-    v = np.array([p[1] for p in pairs])
+    s, v = np.array(list(zip(*pairs)))
     slope = float(np.dot(s, v) / np.dot(s, s))
     residuals = v - slope * s
     ss_tot = float(np.sum((v - v.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(residuals ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    if r2 < _MIN_FIT_R2:
-        raise GainFitError(f"sweep is not linear: R^2 = {r2:.4f} < {_MIN_FIT_R2}{note}")
-    within = np.abs(residuals) < _LINEAR_RESIDUAL_FRACTION * np.abs(v)
-    max_velocity = float(np.max(np.abs(v[within]))) if np.any(within) else 0.0
-    try:  # velocities so small that the slope underflows give no gain
+    r2 = 1.0 - float(np.sum(residuals ** 2)) / ss_tot if ss_tot > 0 else math.nan
+    within = np.abs(residuals) < _LINEAR_RESIDUAL_FRACTION * v
+    max_velocity = float(np.max(v[within])) if np.any(within) else 0.0
+    try:  # StimulusGain judges the fit; a slope that underflowed to 0 has no inverse
         return StimulusGain(alpha=1.0 / slope, fit_r2=r2, max_velocity=max_velocity,
                             kernel_hash=kernel_hash(kernel))
     except (ZeroDivisionError, ValueError) as exc:
-        raise GainFitError(f"slope {slope:.4g} gives no gain: {exc}{note}") from None
+        raise GainFitError(f"sweep gives no gain (slope {slope:.4g}, R^2 {r2:.4f}): "
+                           f"{exc}{note}") from None
 
 
 def save_calibration(gain: StimulusGain, path):

@@ -337,9 +337,11 @@ def read_oxts(directory, yaw_column: int = 5, yaw_rate_column: int = 19) -> Traj
     timestamp names its ``timestamps.txt`` line, a bad yaw or yaw rate its
     data file.
     """
-    if min(yaw_column, yaw_rate_column) < 0 or yaw_column == yaw_rate_column:
-        raise ValueError("yaw and yaw-rate columns must be distinct and non-negative, "
-                         f"got {yaw_column} and {yaw_rate_column}")
+    columns = (yaw_column, yaw_rate_column)
+    if (any(isinstance(c, bool) or not isinstance(c, Integral) for c in columns)
+            or min(columns) < 0 or yaw_column == yaw_rate_column):
+        raise ValueError("yaw and yaw-rate columns must be distinct and non-negative "
+                         f"integers, got {yaw_column!r} and {yaw_rate_column!r}")
     ts_path = os.path.join(directory, "timestamps.txt")
     if not os.path.isfile(ts_path):
         raise TrajectoryFormatError(f"{directory}: missing timestamps.txt")

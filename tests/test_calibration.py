@@ -72,10 +72,26 @@ def test_fit_requires_enough_samples(kernel):
 def test_fit_skips_degenerate_samples(kernel):
     samples = [SweepSample(s, 12.0 * s) for s in
                (0.01, 0.02, 0.03, 0.04, 0.05)]
-    # A collapsed level and a positive level that ran the bump backwards.
-    samples += [SweepSample(0.5, float("nan")), SweepSample(0.06, -0.1)]
+    # A collapsed level, a positive level that ran the bump backwards and
+    # one whose velocity is infinite.
+    samples += [SweepSample(0.5, float("nan")), SweepSample(0.06, -0.1),
+                SweepSample(0.07, math.inf)]
     gain = fit_gain(samples, kernel)
     assert gain.alpha == pytest.approx(1.0 / 12.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("samples, message", [
+    # Every usable velocity equal: the sweep has no R^2.
+    pytest.param([SweepSample(s, 0.5) for s in (0.01, 0.02, 0.03, 0.04, 0.05)]
+                 + [SweepSample(0.07, math.inf)],
+                 r"R\^2 nan\): .*; excluded levels: 0\.07 \(velocity inf rad/s\)$", id="flat"),
+    pytest.param([SweepSample(0.03, 0.36)] * 5, r"R\^2 nan\)", id="one-level"),
+    pytest.param([SweepSample(s, 5.0 * math.sqrt(s)) for s in np.linspace(0.01, 0.08, 8)],
+                 r"R\^2 0\.50\d\d\): 'fit_r2' must be in \[0\.99, 1\]", id="non-linear"),
+])
+def test_fit_refuses_a_gain_the_sweep_does_not_support(kernel, samples, message):
+    with pytest.raises(GainFitError, match=message):
+        fit_gain(samples, kernel)
 
 
 def test_sweep_marks_reversed_bump_degenerate(kernel):

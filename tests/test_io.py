@@ -271,6 +271,15 @@ def test_oxts_layout_validation(tmp_path):
         read_oxts(tmp_path / "absent", yaw_column=3, yaw_rate_column=3)
     with pytest.raises(ValueError, match="distinct and non-negative"):
         read_oxts(tmp_path / "absent", yaw_column=-1)
+    # A column that is not an integer is refused by name, not indexed.
+    for columns in (dict(yaw_column=5.0), dict(yaw_rate_column=19.5), dict(yaw_column=True)):
+        with pytest.raises(ValueError, match="distinct and non-negative integers"):
+            read_oxts(tmp_path / "absent", **columns)
+    # A numpy integer is an integer.
+    make_oxts_dir(tmp_path, yaws=[0.1, 0.2], rates=[0.01, 0.02])
+    records = read_oxts(tmp_path, yaw_column=np.int64(5), yaw_rate_column=np.int64(19))
+    assert records.truth.tolist() == pytest.approx([0.1, 0.2])
+    assert records.omega.tolist() == pytest.approx([0.01, 0.02])
 
 
 def test_oxts_zoned_timestamps_keep_their_fraction(tmp_path):
