@@ -1,9 +1,9 @@
 """Head-direction ring attractor for angular-velocity path integration."""
 
 from .neuron import NeuronParams, transfer, inverse_transfer, euler_step
-from .kernel import (TuningCurve, WeightKernel, target_profile,
-                     synthesize_recurrent, derivative_kernel, build_kernel,
-                     save_kernel, load_kernel, kernel_hash)
+from .kernel import (TuningCurve, WeightKernel, synthesize_recurrent,
+                     derivative_kernel, build_kernel, save_kernel, load_kernel,
+                     kernel_hash)
 from .network import TurningStimulus, HDCNetwork, DegenerateActivityError
 from .calibration import (StimulusGain, SweepSample, sweep, fit_gain,
                           save_calibration, load_calibration,

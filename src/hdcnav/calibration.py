@@ -38,7 +38,7 @@ SWEEP_FRAME_DT = 0.01       # decode sampling interval [s]
 _LINEAR_RESIDUAL_FRACTION = 0.05
 
 _MIN_FIT_R2 = 0.99
-_MIN_FIT_SAMPLES = 5
+_MIN_FIT_LEVELS = 5
 
 
 class GainFitError(RuntimeError):
@@ -64,8 +64,9 @@ class SweepSample:
 @dataclass(frozen=True)
 class StimulusGain:
     """Inverted linear law, stimulus = alpha * |omega|, and the one yaw-rate rule.
-    A calibration file holds its fields and ``dt``. It refuses, naming the field,
-    an alpha outside (0, inf), fit_r2 outside [0.99, 1] or max_velocity outside [0, inf)."""
+    A calibration file holds its fields and ``dt``. It refuses, naming the field, an
+    alpha outside (0, inf), fit_r2 outside [0.99, 1], max_velocity outside [0, inf)
+    or a kernel_hash that is not a str."""
 
     alpha: float
     fit_r2: float
@@ -79,6 +80,8 @@ class StimulusGain:
             raise ValueError(f"'fit_r2' must be in [{_MIN_FIT_R2}, 1], got {self.fit_r2!r}")
         if not 0.0 <= self.max_velocity < math.inf:
             raise ValueError(f"'max_velocity' must be >= 0, got {self.max_velocity!r}")
+        if not isinstance(self.kernel_hash, str):
+            raise ValueError(f"'kernel_hash' must be a str, got {self.kernel_hash!r}")
 
     def stimulus_for(self, omega: float) -> float:
         return self.alpha * abs(omega)
@@ -101,7 +104,8 @@ def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
           duration: float = SWEEP_DURATION) -> list:
     """Measure bump velocity for each stimulus level on the shift-left layer.
 
-    ``TurningStimulus`` checks the levels before any network is built. One
+    ``TurningStimulus`` checks the levels, which must be strictly ascending
+    (no level repeated), before any network is built. One
     network settled at pi is tiled into a batch, one column per level,
     decoded every ``SWEEP_FRAME_DT``. A level's velocity is the slope of
     its unwrapped heading over the second half of the run (the first is
@@ -113,8 +117,9 @@ def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
     if levels.ndim != 1 or levels.size == 0:
         raise ValueError("stimulus levels must be a non-empty list")
     stimulus = TurningStimulus(left=levels)
-    if np.any(np.diff(levels) < 0):
-        raise ValueError("stimulus levels must be ascending")
+    if np.any(np.diff(levels) <= 0):
+        raise ValueError("stimulus levels must be strictly ascending: "
+                         "a level is repeated or out of order")
     if not 2.0 <= duration < math.inf:
         raise ValueError(f"sweep duration must be finite and at least 2 s, got {duration}")
     net = HDCNetwork(kernel)
@@ -141,9 +146,10 @@ def fit_gain(samples, kernel: WeightKernel) -> StimulusGain:
 
     ``samples`` are SweepSamples. Degenerate levels, levels that are not
     positive and non-finite velocities are excluded, so a usable velocity
-    is positive. GainFitError, naming them, refuses too few usable levels
-    and any fit ``StimulusGain`` refuses: an R^2 below 0.99 (a bad kernel
-    or sign convention), none (a flat sweep) or a slope too small to invert.
+    is positive. GainFitError, naming them, refuses fewer than five distinct
+    usable levels (a repeated level counts once) and any fit ``StimulusGain``
+    refuses: an R^2 below 0.99 (a bad kernel or sign convention), none (a
+    flat sweep) or a slope too small to invert.
     """
     pairs, excluded = [], []
     for sample in samples:
@@ -157,9 +163,10 @@ def fit_gain(samples, kernel: WeightKernel) -> StimulusGain:
         else:
             pairs.append((s, v))
     note = f"; excluded levels: {', '.join(excluded)}" if excluded else ""
-    if len(pairs) < _MIN_FIT_SAMPLES:
-        raise GainFitError(f"need at least {_MIN_FIT_SAMPLES} usable samples, "
-                           f"got {len(pairs)}{note}")
+    levels = {s for s, _ in pairs}
+    if len(levels) < _MIN_FIT_LEVELS:
+        raise GainFitError(f"need at least {_MIN_FIT_LEVELS} usable levels, "
+                           f"got {len(levels)}{note}")
     s, v = np.array(list(zip(*pairs)))
     slope = float(np.dot(s, v) / np.dot(s, s))
     residuals = v - slope * s

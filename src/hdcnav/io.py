@@ -18,6 +18,7 @@ seeded white gyro noise on its yaw rate, none by default.
 """
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -131,7 +132,8 @@ class Trajectory:
     length, at least one sample, finite ``t`` and ``omega``, ``truth``
     finite or NaN, and ``t`` strictly increasing. An error names the
     sample at fault. An int index gives one ``TrajectoryRecord`` of Python
-    floats; a slice gives a ``Trajectory``.
+    floats; a part of a trajectory is a ``Trajectory`` of sliced columns,
+    and a slice index is a TypeError.
     """
 
     t: np.ndarray
@@ -164,8 +166,6 @@ class Trajectory:
         return len(self.t)
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return Trajectory(self.t[k], self.omega[k], self.truth[k])
         return TrajectoryRecord(self.t.item(k), self.omega.item(k), self.truth.item(k))
 
 
@@ -403,26 +403,19 @@ def cumulative_trapezoid(t, y) -> np.ndarray:
 def _maze_segments(omega_max: float, duration: float):
     """Deterministic (duration, omega) segments with zero signed turn total.
 
-    Pairs of opposite turns separated by straight stretches; the pattern
+    Pairs of opposite turns, each after a 1 s straight stretch; the pattern
     repeats until the requested duration is filled, then a final straight
     segment pads to the exact end so the signed total stays zero.
     """
-    turn_angles = [math.pi / 2, math.pi, math.pi / 4, 3 * math.pi / 4]
-    straight = 1.0
-    segments = []
-    total = 0.0
-    i = 0
-    while True:
-        angle = turn_angles[i % len(turn_angles)]
+    segments, total = [], 0.0
+    for angle in itertools.cycle((math.pi / 2, math.pi, math.pi / 4, 3 * math.pi / 4)):
         turn_time = angle / omega_max
-        pair = [(straight, 0.0), (turn_time, omega_max),
-                (straight, 0.0), (turn_time, -omega_max)]
+        pair = [(1.0, 0.0), (turn_time, omega_max), (1.0, 0.0), (turn_time, -omega_max)]
         pair_time = sum(d for d, _ in pair)
         if total + pair_time > duration:
             break
         segments.extend(pair)
         total += pair_time
-        i += 1
     if duration - total > 0:
         segments.append((duration - total, 0.0))
     return segments

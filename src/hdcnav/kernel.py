@@ -21,7 +21,6 @@ from .neuron import NEURON, inverse_transfer
 __all__ = [
     "TuningCurve",
     "WeightKernel",
-    "target_profile",
     "synthesize_recurrent",
     "derivative_kernel",
     "build_kernel",
@@ -128,18 +127,13 @@ class WeightKernel:
         return self.curve.n
 
 
-def target_profile(curve: TuningCurve) -> np.ndarray:
-    """Target firing rates sampled at the preferred directions."""
-    return curve.evaluate(curve.preferred_directions)
-
-
 def synthesize_recurrent(curve: TuningCurve, lam: float = DEFAULT_LAMBDA) -> np.ndarray:
     """Recurrent kernel from ridge-regularized Fourier deconvolution.
 
     Per discrete frequency k:  W_k = U_k * conj(F_k) / (lam + |F_k|^2),
     where F is the target profile and U its steady-state synaptic input.
     """
-    f = target_profile(curve)
+    f = curve.evaluate(curve.preferred_directions)
     lo, hi = _PEAK_MARGIN * NEURON.r_max, (1.0 - _PEAK_MARGIN) * NEURON.r_max
     u = inverse_transfer(np.clip(f, lo, hi))
     f_hat = np.fft.fft(f)

@@ -84,9 +84,6 @@ class TurningStimulus:
             raise ValueError("stimulus values must be finite and non-negative")
 
 
-ZERO_STIMULUS = TurningStimulus(0.0, 0.0)
-
-
 def _projection(weights: np.ndarray) -> np.ndarray:
     """n x n connectivity from a distance-indexed kernel, diagonal zeroed."""
     idx = np.arange(len(weights))
@@ -159,9 +156,9 @@ class HDCNetwork:
         curve = self.kernel.curve
         profile = curve.evaluate(curve.preferred_directions - heading)
         self.rates = np.stack((profile, profile / 2.0, profile / 2.0))
-        self.run_frame(ZERO_STIMULUS, SETTLE_SECONDS)
+        self.run_frame(TurningStimulus(), SETTLE_SECONDS)
 
-    def step(self, stim: TurningStimulus = ZERO_STIMULUS):
+    def step(self, stim: TurningStimulus):
         """Advance all three layers by one Euler step of ``DEFAULT_DT``."""
         self.run_frame(stim, DEFAULT_DT)
 

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from hdcnav.io import SyntheticProfile, generate, read_oxts
-from hdcnav.kernel import TuningCurve, synthesize_recurrent, target_profile
-from hdcnav.network import HDCNetwork, TurningStimulus, ZERO_STIMULUS
+from hdcnav.kernel import TuningCurve, synthesize_recurrent
+from hdcnav.network import HDCNetwork, TurningStimulus
 from hdcnav.neuron import NeuronParams, inverse_transfer, transfer
 from hdcnav.tracker import benchmark, track
 
@@ -34,7 +34,7 @@ def test_c2_ridge_oracle_equivalence():
     # Independent spatial-domain ridge solution, no FFT involved.
     p = NeuronParams()
     curve = TuningCurve()
-    f = np.clip(target_profile(curve), 1e-9, p.r_max - 1e-9)
+    f = np.clip(curve.evaluate(curve.preferred_directions), 1e-9, p.r_max - 1e-9)
     u = inverse_transfer(f, p)
     n = len(f)
     idx = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
@@ -58,7 +58,7 @@ def test_c3_settled_profile_matches_target():
         kernel_local.curve.preferred_directions - np.pi)
     worst = 0.0
     for _ in range(10):  # sampled over 5 simulated seconds
-        net.run_frame(ZERO_STIMULUS, 0.5)
+        net.run_frame(TurningStimulus(), 0.5)
         worst = max(worst, float(np.max(np.abs(net.rates[0] - target))))
     assert worst <= 2.0
 
@@ -67,7 +67,7 @@ def test_c3_zero_stimulus_drift(kernel):
     net = HDCNetwork(kernel)
     net.init_at(1.0)
     h0 = net.decode()
-    net.run_frame(ZERO_STIMULUS, 60.0)
+    net.run_frame(TurningStimulus(), 60.0)
     assert abs(wrapped_deg(net.decode(), h0)) < 1.0
 
 
@@ -102,8 +102,7 @@ def test_c4_single_lap_at_20(kernel, gain):
 def test_c5_balanced_maze_error_bound(kernel, gain):
     records = generate(SyntheticProfile("balanced_maze",
                                         math.radians(30), 210.0))
-    total_turn = math.degrees(
-        sum(abs(r.omega) for r in records[1:]) * 0.01)
+    total_turn = math.degrees(np.sum(np.abs(records.omega[1:])) * 0.01)
     assert total_turn >= 4000.0
     report = track(records, kernel, gain)
     assert report.max_error_deg <= 1.5

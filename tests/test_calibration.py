@@ -85,7 +85,10 @@ def test_fit_skips_degenerate_samples(kernel):
     pytest.param([SweepSample(s, 0.5) for s in (0.01, 0.02, 0.03, 0.04, 0.05)]
                  + [SweepSample(0.07, math.inf)],
                  r"R\^2 nan\): .*; excluded levels: 0\.07 \(velocity inf rad/s\)$", id="flat"),
-    pytest.param([SweepSample(0.03, 0.36)] * 5, r"R\^2 nan\)", id="one-level"),
+    # Repeated levels count once.
+    pytest.param([SweepSample(0.03, 0.36)] * 5, r"usable levels, got 1$", id="one-level"),
+    pytest.param([SweepSample(0.02, 0.228)] * 3 + [SweepSample(0.04, 0.4561)] * 2,
+                 r"usable levels, got 2$", id="two-levels"),
     pytest.param([SweepSample(s, 5.0 * math.sqrt(s)) for s in np.linspace(0.01, 0.08, 8)],
                  r"R\^2 0\.50\d\d\): 'fit_r2' must be in \[0\.99, 1\]", id="non-linear"),
 ])
@@ -120,6 +123,10 @@ def test_sweep_marks_reversed_bump_degenerate(kernel):
                  id="max_velocity-negative"),
     pytest.param(dict(max_velocity=math.inf), "'max_velocity' must be >= 0, got inf",
                  id="max_velocity-inf"),
+    pytest.param(dict(kernel_hash=None), "'kernel_hash' must be a str, got None",
+                 id="kernel_hash-none"),
+    pytest.param(dict(kernel_hash=123), "'kernel_hash' must be a str, got 123",
+                 id="kernel_hash-int"),
 ])
 def test_gain_built_in_code_is_refused_when_built(kernel, fields, message):
     valid = dict(alpha=0.0877, fit_r2=1.0, max_velocity=1.0, kernel_hash=kernel_hash(kernel))
@@ -160,6 +167,7 @@ def test_sweep_input_validation(kernel):
     pytest.param([0.01, float("nan")], 4.0, id="levels1"),
     pytest.param([0.01, float("inf")], 4.0, id="levels2"),
     pytest.param([-0.01, 0.02], 4.0, id="levels3"),
+    pytest.param([0.02, 0.02, 0.03], 4.0, id="levels-repeated"),
     pytest.param([0.01, 0.02], float("inf"), id="duration-inf"),
     pytest.param([0.01, 0.02], float("nan"), id="duration-nan"),
 ])

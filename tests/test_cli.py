@@ -113,6 +113,14 @@ def test_calibrate_custom_stimuli(tmp_path, kernel_file):
         pytest.approx([0.02, 0.03, 0.04, 0.05, 0.06])
 
 
+def test_calibrate_refuses_a_repeated_level(tmp_path, kernel_file, capsys):
+    out = tmp_path / "calib.json"
+    assert main(["calibrate", "--kernel", kernel_file,
+                 "--stimuli", "0.02,0.02,0.02,0.04,0.04", "--out", str(out)]) == 1
+    assert "a level is repeated or out of order" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_sweep_csv_blanks_a_collapsed_level(tmp_path, kernel_file):
     # The bump collapses at 2.0: its velocity is NaN, written as a blank cell.
     table = tmp_path / "sweep.csv"

@@ -40,9 +40,9 @@ def test_trajectory_rows_and_slices():
     assert traj[-1] == (1.0, 0.3, 2.0)
     with pytest.raises(IndexError):
         traj[3]
-    part = traj[1:]
-    assert isinstance(part, Trajectory) and len(part) == 2
-    assert part.t.tolist() == [0.5, 1.0] and part.truth[1] == 2.0
+    # A part of a trajectory is a Trajectory of sliced columns, not a slice.
+    with pytest.raises(TypeError):
+        traj[1:]
     # The columns are read-only copies, and no truth means all NaN.
     t[0] = -1.0
     assert traj.t[0] == 0.0 and not traj.t.flags.writeable
@@ -370,6 +370,22 @@ def test_balanced_maze_returns_to_start():
     assert np.max(np.abs(omegas)) <= math.radians(30) + 1e-12
     total_turn = math.degrees(np.sum(np.abs(omegas[1:]) * 0.01))
     assert total_turn >= 4000.0
+
+
+def test_maze_turn_sequence():
+    # Opposite turns of 90, 180, 45 and 135 deg, repeating, each after a 1 s
+    # straight: the angle of a run of nonzero yaw rate is its sum times dt.
+    frame_dt = 0.01
+    omega = generate(SyntheticProfile("balanced_maze", math.radians(30), 90.0,
+                                      frame_dt)).omega
+    turning = np.flatnonzero(omega)
+    runs = np.split(turning, np.flatnonzero(np.diff(turning) > 1) + 1)
+    angles = [math.degrees(np.sum(omega[run]) * frame_dt) for run in runs]
+    pattern = [90, -90, 180, -180, 45, -45, 135, -135]
+    np.testing.assert_allclose(angles, [pattern[k % 8] for k in range(18)], atol=1e-9)
+    starts = np.array([run[0] for run in runs])
+    ends = np.array([0] + [run[-1] + 1 for run in runs[:-1]])
+    assert (starts - ends).tolist() == [round(1.0 / frame_dt)] * len(runs)
 
 
 def test_maze_truth_matches_trapezoid_integral():

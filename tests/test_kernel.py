@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hdcnav.kernel import (DEFAULT_GAMMA, DEFAULT_LAMBDA, TuningCurve,
                            WeightKernel, build_kernel, derivative_kernel,
                            kernel_hash, load_kernel, save_kernel,
-                           synthesize_recurrent, target_profile)
+                           synthesize_recurrent)
 from hdcnav.neuron import NeuronParams, inverse_transfer
 
 
@@ -20,8 +20,7 @@ def ridge_oracle(curve, lam):
     u = A w with A[i, d] = f[(i + d) mod n]; solve the normal equations.
     """
     p = NeuronParams()
-    f = target_profile(curve)
-    f = np.clip(f, 1e-9, p.r_max - 1e-9)
+    f = np.clip(curve.evaluate(curve.preferred_directions), 1e-9, p.r_max - 1e-9)
     u = inverse_transfer(f, p)
     n = len(f)
     idx = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n

@@ -8,7 +8,7 @@ import pytest
 from hdcnav.io import SyntheticProfile, generate
 from hdcnav.kernel import build_kernel
 from hdcnav.network import (DEFAULT_DT, SETTLE_SECONDS, DegenerateActivityError,
-                            HDCNetwork, TurningStimulus, ZERO_STIMULUS)
+                            HDCNetwork, TurningStimulus)
 from hdcnav.neuron import NEURON, euler_step, transfer
 from hdcnav.io import Trajectory
 from hdcnav.tracker import track
@@ -109,6 +109,8 @@ def test_batch_refuses_mismatched_stimulus(kernel):
         net.run_frame(TurningStimulus(left=np.zeros(3)), 0.01)
     with pytest.raises(ValueError):
         net.step(TurningStimulus(right=np.zeros(kernel.n)))
+    with pytest.raises(TypeError):  # a step has no default stimulus
+        net.step()
     single = HDCNetwork(kernel)
     single.init_at(0.0)
     # A length-n stimulus would broadcast over the cells of a single network.
@@ -191,7 +193,7 @@ def test_run_frame_rejects_subresolution_interval(kernel):
     net = HDCNetwork(kernel)
     for frame_dt in (0.0, -0.01, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive and finite"):
-            net.run_frame(ZERO_STIMULUS, frame_dt)
+            net.run_frame(TurningStimulus(), frame_dt)
 
 
 def test_dt_is_fixed_at_default_dt(kernel):
@@ -240,7 +242,7 @@ def maze_final_heading(kernel, gain, dt):
     profile = curve.evaluate(curve.preferred_directions)
     net = HDCNetwork(kernel)
     net.rates = np.stack((profile, profile / 2.0, profile / 2.0))
-    run_sliced(net, ZERO_STIMULUS, SETTLE_SECONDS, dt)
+    run_sliced(net, TurningStimulus(), SETTLE_SECONDS, dt)
     for k in range(1, len(t)):
         run_sliced(net, gain.stimulus(omega[k]), t[k] - t[k - 1], dt)
     return net.decode()
@@ -352,7 +354,7 @@ def _init(frame, kernel, headings):
     for heading in np.atleast_1d(headings):
         profile = curve.evaluate(curve.preferred_directions - heading)
         states.append(frame(kernel, np.stack((profile, profile / 2.0, profile / 2.0)),
-                            ZERO_STIMULUS, SETTLE_SECONDS))
+                            TurningStimulus(), SETTLE_SECONDS))
     return np.stack(states, axis=-1) if np.ndim(headings) else states[0]
 
 
@@ -483,7 +485,7 @@ def test_maze_replay_matches_block_oracle(kernel, gain):
     curve = kernel.curve
     profile = curve.evaluate(curve.preferred_directions)
     rates = run(np.concatenate((profile, profile / 2.0, profile / 2.0)),
-                ZERO_STIMULUS, SETTLE_SECONDS)
+                TurningStimulus(), SETTLE_SECONDS)
     # One network, never stepped, decodes each oracle state.
     readout = HDCNetwork(kernel)
 
@@ -492,10 +494,10 @@ def test_maze_replay_matches_block_oracle(kernel, gain):
         return readout.decode()
 
     oracle = [heading(rates)]
-    for prev, rec in zip(records, records[1:]):
-        level = gain.stimulus_for(rec.omega)
-        stim = (TurningStimulus(left=level) if rec.omega >= 0.0
+    for frame_dt, omega in zip(np.diff(records.t).tolist(), records.omega[1:].tolist()):
+        level = gain.stimulus_for(omega)
+        stim = (TurningStimulus(left=level) if omega >= 0.0
                 else TurningStimulus(right=level))
-        rates = run(rates, stim, rec.t - prev.t)
+        rates = run(rates, stim, frame_dt)
         oracle.append(heading(rates))
     assert np.max(np.abs(wrapped_deg(decoded, np.array(oracle)))) < 1e-9

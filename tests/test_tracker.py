@@ -55,7 +55,8 @@ def test_baseline_maps_tiny_negative_total_to_zero():
     # -1e-20 rad % 2*pi rounds to exactly 2*pi, outside [0, 2*pi).
     records = Trajectory([0.0, 1.0], [-1e-20, -1e-20])
     assert baseline_integrate(records).tolist() == [0.0, 0.0]
-    assert baseline_integrate(records[:1], initial_heading=-1e-300).tolist() == [0.0]
+    one = Trajectory([0.0], [-1e-20])
+    assert baseline_integrate(one, initial_heading=-1e-300).tolist() == [0.0]
 
 
 def test_baseline_exact_on_clean_constant_profile():
@@ -223,10 +224,10 @@ def test_track_columns_match_per_frame_reference(kernel, gain):
     net = HDCNetwork(kernel)
     net.init_at(0.2)
     decoded = [net.decode()]
-    for prev, rec in zip(records, records[1:]):
-        level = gain.stimulus_for(rec.omega)
-        net.run_frame(TurningStimulus(left=level, right=0.0) if rec.omega >= 0.0
-                      else TurningStimulus(left=0.0, right=level), rec.t - prev.t)
+    for frame_dt, omega in zip(np.diff(records.t).tolist(), records.omega[1:].tolist()):
+        level = gain.stimulus_for(omega)
+        net.run_frame(TurningStimulus(left=level, right=0.0) if omega >= 0.0
+                      else TurningStimulus(left=0.0, right=level), frame_dt)
         decoded.append(net.decode())
     truth = [r.truth for r in records]
     baseline = _reference_baseline(records, 0.2)
