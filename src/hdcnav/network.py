@@ -7,7 +7,8 @@ synaptic inputs are
     u_{L,R} = W f_h / 2 + s_{L,R}
 
 where f are the layers' firing rates and s the turning stimuli. Every
-Euler step is ``DEFAULT_DT``, 1 ms, so a 10 ms frame is 10 steps.
+Euler step is ``DEFAULT_DT``, the neuron model's largest safe step of
+2 ms, so a 10 ms frame is 5 steps.
 Self-connections (cell distance 0) carry no weight.
 
 The network's state is its ``rates`` array of shape ``(3, n)``: rows
@@ -51,13 +52,14 @@ __all__ = ["TurningStimulus", "HDCNetwork", "DegenerateActivityError"]
 
 # 25 tau of zero-stimulus relaxation before a replay or sweep. It fixes the
 # bump's position (it then moves about 1e-14 rad in the next 10 s) but not
-# its shape: with the default kernel the heading-layer rates (peak 73 Hz)
-# still change by up to 1.5 Hz from 0.5 to 1.0 s and 0.14 Hz from 2.5 to
-# 4.5 s, counted from the start of the relaxation.
+# its shape: with the default kernel and step the heading-layer rates (peak
+# 73 Hz) still change by up to 1.5 Hz from 0.5 to 1.0 s and 0.14 Hz from
+# 2.5 to 4.5 s, counted from the start of the relaxation.
 SETTLE_SECONDS = 0.5
-# The network's one Euler step [s], tau/20: a 10 ms frame is 10 steps. A
-# calibration holds only at the step it was made at (see ``calibration``).
-DEFAULT_DT = 0.001
+# The network's one Euler step [s]: the neuron model's largest safe step,
+# tau/10 (2 ms), so a 10 ms frame is 5 steps. A calibration holds only at
+# the step it was made at (see ``calibration``).
+DEFAULT_DT = NEURON.max_dt
 
 _HALF = np.array(0.5)   # 0-d, as every constant of the step (see the module docstring)
 _BETA_H0 = NEURON.beta * NEURON.h0
@@ -124,17 +126,20 @@ class HDCNetwork:
     def decode(self):
         """Population-vector heading of the heading layer, in [0, 2*pi).
 
-        A batch gives one heading per column, NaN where it is degenerate;
-        a single network raises DegenerateActivityError instead.
+        A batch gives one heading per column, NaN where it is degenerate
+        (a population vector too short, or not finite); a single network
+        raises DegenerateActivityError instead.
         """
         s, c = self._basis @ self.rates[0]
         heading = wrap_heading(np.arctan2(s, c))
         magnitude = np.hypot(s, c)
-        degenerate = magnitude <= self._min_magnitude
+        degenerate = ~(magnitude > self._min_magnitude)   # NaN is degenerate too
         if heading.ndim == 0:
             if degenerate:
                 raise DegenerateActivityError(
-                    f"population vector magnitude {magnitude:.3g} too small to decode")
+                    f"population vector magnitude {magnitude:.3g} too small to decode"
+                    if np.isfinite(magnitude) else
+                    "population vector is not finite: the heading layer holds NaN or inf rates")
             return float(heading)
         heading[degenerate] = np.nan
         return heading

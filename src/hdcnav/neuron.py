@@ -35,7 +35,8 @@ class NeuronParams:
 
     @property
     def max_dt(self) -> float:
-        """Largest Euler step considered safe (tau / 10)."""
+        """Largest Euler step considered safe (tau / 10); the network steps
+        at exactly this (``network.DEFAULT_DT``)."""
         return self.tau / 10.0
 
 

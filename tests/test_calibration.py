@@ -255,8 +255,8 @@ def test_calibration_records_its_step(tmp_path, kernel, gain):
 
 
 @pytest.mark.parametrize("dt, made_at", [(None, None), (0.0005, "0.5 ms"),
-                                         (0.002, "2 ms")],
-                         ids=["unrecorded", "0.5ms", "2ms"])
+                                         (0.001, "1 ms")],
+                         ids=["unrecorded", "0.5ms", "1ms"])
 def test_load_refuses_calibration_of_another_step(tmp_path, kernel, gain, dt, made_at):
     # A file without "dt" records no step, so it is refused as malformed.
     path = tmp_path / "calibration.json"

@@ -157,6 +157,24 @@ def test_mismatched_calibration_fails(tmp_path, calibration_file):
     assert code == 1
 
 
+def test_track_refuses_calibration_made_at_1ms(tmp_path, kernel_file, calibration_file,
+                                               trajectory_file, capsys):
+    # Every calibration file written while the network stepped at 1 ms.
+    with open(calibration_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    old = tmp_path / "calibration_1ms.json"
+    old.write_text(json.dumps({**doc, "dt": 0.001}))
+    assert '"dt": 0.001' in old.read_text()
+    report = tmp_path / "report.json"
+    code = main(["track", "--kernel", kernel_file, "--calibration", str(old),
+                 "--trajectory", trajectory_file, "--report", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {old}: calibration was made at an Euler step of 1 ms")
+    assert "re-run `hdcnav calibrate`" in err
+    assert not report.exists()
+
+
 def test_track_rejects_version_1_kernel(tmp_path, kernel_file,
                                         calibration_file, capsys):
     with open(kernel_file, encoding="utf-8") as fh:

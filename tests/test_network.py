@@ -9,7 +9,7 @@ from hdcnav.io import SyntheticProfile, generate
 from hdcnav.kernel import build_kernel
 from hdcnav.network import (DEFAULT_DT, SETTLE_SECONDS, DegenerateActivityError,
                             HDCNetwork, TurningStimulus)
-from hdcnav.neuron import NEURON, euler_step, transfer
+from hdcnav.neuron import NEURON, transfer
 from hdcnav.io import Trajectory
 from hdcnav.tracker import track
 
@@ -48,6 +48,22 @@ def test_decode_of_synthetic_bump(kernel):
 def test_decode_rejects_flat_activity(kernel):
     with pytest.raises(DegenerateActivityError):
         decode_rates(kernel, np.full(kernel.n, 10.0))
+
+
+def test_decode_refuses_a_non_finite_state(kernel, settled):
+    # One NaN rate, or an all-inf heading layer (numpy's own matmul warning
+    # silenced), is refused by a single network and is NaN in a batch.
+    net = HDCNetwork(kernel)
+    net.rates = settled.rates.copy()
+    net.rates[0, 3] = np.nan
+    with pytest.raises(DegenerateActivityError, match="not finite"):
+        net.decode()
+    with np.errstate(invalid="ignore"), pytest.raises(DegenerateActivityError,
+                                                      match="not finite"):
+        decode_rates(kernel, np.full(kernel.n, np.inf))
+    net.rates = np.stack((settled.rates, net.rates), axis=-1)
+    headings = net.decode()
+    assert headings[0] == settled.decode() and np.isnan(headings[1])
 
 
 def test_decode_maps_tiny_negative_angle_to_zero(kernel):
@@ -424,10 +440,13 @@ def _block_matrix(kernel):
 
 
 def _block_step(block, rates, stim, dt):
+    """One Euler step of the stacked state, written out: a sub-step that
+    ``run_frame`` cuts from a frame may be an ulp over ``NEURON.max_dt``,
+    which ``neuron.euler_step`` refuses."""
     n = len(rates) // 3
     drive = np.concatenate((np.zeros(n), np.full(n, stim.left),
                             np.full(n, stim.right)))
-    return euler_step(rates, block @ rates + drive, dt)
+    return rates + dt / NEURON.tau * (transfer(block @ rates + drive) - rates)
 
 
 def test_step_matches_block_oracle(kernel):
@@ -446,8 +465,8 @@ def test_step_matches_block_oracle(kernel):
 
 
 def test_run_frame_substep_count(kernel):
-    # A 10 ms frame is 10 steps of DEFAULT_DT; cut into 20 slices it is 20
-    # steps of 0.5 ms.
+    # A 10 ms frame is 5 steps of DEFAULT_DT (2 ms); cut into 20 slices it
+    # is 20 steps of 0.5 ms.
     block, stim = _block_matrix(kernel), TurningStimulus(left=0.03)
     net = HDCNetwork(kernel)
     net.init_at(0.0)
@@ -467,6 +486,17 @@ def test_run_frame_short_interval_is_one_substep(kernel):
     net.init_at(0.0)
     expected = _block_step(_block_matrix(kernel), net.rates.ravel(), stim, 0.0003)
     net.run_frame(stim, 0.0003)
+    np.testing.assert_allclose(net.rates.ravel(), expected, rtol=1e-12)
+
+
+def test_run_frame_frame_under_the_step_is_one_substep(kernel):
+    # A 1.9 ms frame, just under DEFAULT_DT, is one Euler step of 1.9 ms,
+    # not two of 0.95 ms.
+    stim = TurningStimulus(left=0.03)
+    net = HDCNetwork(kernel)
+    net.init_at(0.0)
+    expected = _block_step(_block_matrix(kernel), net.rates.ravel(), stim, 0.0019)
+    net.run_frame(stim, 0.0019)
     np.testing.assert_allclose(net.rates.ravel(), expected, rtol=1e-12)
 
 
