@@ -100,15 +100,15 @@ class StimulusGain:
                 f"(hash {self.kernel_hash[:12]}... vs {expected[:12]}...)")
 
 
-def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
-          duration: float = SWEEP_DURATION) -> list:
+def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI) -> list:
     """Measure bump velocity for each stimulus level on the shift-left layer.
 
     ``TurningStimulus`` checks the levels, which must be strictly ascending
-    (no level repeated), before any network is built. One
-    network settled at pi is tiled into a batch, one column per level,
-    decoded every ``SWEEP_FRAME_DT``. A level's velocity is the slope of
-    its unwrapped heading over the second half of the run (the first is
+    (no level repeated), before any network is built. One network settled at
+    pi is tiled into a batch, one column per level, run for ``SWEEP_DURATION``
+    (fixed: the bump is still settling, so alpha moves with the length) and
+    decoded every ``SWEEP_FRAME_DT``. A level's velocity is the slope of its
+    unwrapped heading over the second half of the run (the first is
     transient). Levels at which the bump collapses, or at which a positive
     level does not move it forward (it reverses at strong stimuli), are
     degenerate samples, later excluded from the fit.
@@ -120,12 +120,10 @@ def sweep(kernel: WeightKernel, stimuli=DEFAULT_STIMULI,
     if np.any(np.diff(levels) <= 0):
         raise ValueError("stimulus levels must be strictly ascending: "
                          "a level is repeated or out of order")
-    if not 2.0 <= duration < math.inf:
-        raise ValueError(f"sweep duration must be finite and at least 2 s, got {duration}")
     net = HDCNetwork(kernel)
     net.init_at(np.pi)
     net.rates = np.repeat(net.rates[..., np.newaxis], levels.size, axis=2)
-    n_frames = int(round(duration / SWEEP_FRAME_DT))
+    n_frames = int(round(SWEEP_DURATION / SWEEP_FRAME_DT))
     headings = [net.decode()]
     for _ in range(n_frames):
         net.run_frame(stimulus, SWEEP_FRAME_DT)

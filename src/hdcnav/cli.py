@@ -82,7 +82,7 @@ def cmd_synthesize(args):
 
 def cmd_calibrate(args):
     kernel = load_kernel(args.kernel)
-    samples = sweep(kernel, **_given(args, "stimuli", "duration"))
+    samples = sweep(kernel, **_given(args, "stimuli"))
     gain = fit_gain(samples, kernel=kernel)
     save_calibration(gain, args.out)
     if args.sweep_csv:
@@ -152,7 +152,6 @@ def build_parser():
     p.add_argument("--kernel", required=True)
     p.add_argument("--stimuli", type=_stimulus_levels,
                    help="comma-separated stimulus levels")
-    p.add_argument("--duration", type=float)
     p.add_argument("--out", default="calibration.json")
     p.add_argument("--sweep-csv", dest="sweep_csv")
     p.set_defaults(func=cmd_calibrate)

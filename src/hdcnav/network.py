@@ -133,7 +133,8 @@ class HDCNetwork:
         s, c = self._basis @ self.rates[0]
         heading = wrap_heading(np.arctan2(s, c))
         magnitude = np.hypot(s, c)
-        degenerate = ~(magnitude > self._min_magnitude)   # NaN is degenerate too
+        # NaN fails both comparisons; an infinite vector has no angle (arctan2(inf, inf)).
+        degenerate = ~((magnitude > self._min_magnitude) & (magnitude < np.inf))
         if heading.ndim == 0:
             if degenerate:
                 raise DegenerateActivityError(

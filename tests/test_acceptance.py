@@ -47,15 +47,13 @@ def test_c2_ridge_oracle_equivalence():
 # 3. Attractor stationarity --------------------------------------------
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the settled bump deviates ~11 Hz from the analytic tuning profile at "
+    "the settled bump deviates ~12.4 Hz from the analytic tuning profile at "
     "the flanks; no (regularization, amplitude-margin) setting brings the "
     "ridge-synthesized attractor within 2 Hz — see README known limitations"))
-def test_c3_settled_profile_matches_target():
-    kernel_local = __import__("hdcnav").build_kernel()
-    net = HDCNetwork(kernel_local)
+def test_c3_settled_profile_matches_target(kernel):
+    net = HDCNetwork(kernel)
     net.init_at(np.pi)
-    target = kernel_local.curve.evaluate(
-        kernel_local.curve.preferred_directions - np.pi)
+    target = kernel.curve.evaluate(kernel.curve.preferred_directions - np.pi)
     worst = 0.0
     for _ in range(10):  # sampled over 5 simulated seconds
         net.run_frame(TurningStimulus(), 0.5)
@@ -134,8 +132,9 @@ def test_c6_left_right_antisymmetry(kernel):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the moving bump carries an irreducible ~3.4 Hz deformation at "
-    "20 deg/s with these network constants — see README known limitations"))
+    "the moving bump at 20 deg/s reads ~3.37 Hz from the reference that "
+    "init_at's 0.5 s settle leaves, which is itself still settling (0.87 Hz "
+    "against one relaxed 20 s more) — see README known limitations"))
 def test_c6_shape_preservation_during_rotation(kernel, gain):
     net = HDCNetwork(kernel)
     net.init_at(np.pi)

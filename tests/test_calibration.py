@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from hdcnav import calibration
-from hdcnav.calibration import (SWEEP_FRAME_DT, CalibrationMismatchError,
-                                GainFitError, StimulusGain, SweepSample,
-                                fit_gain, load_calibration, save_calibration,
-                                sweep)
+from hdcnav.calibration import (SWEEP_DURATION, SWEEP_FRAME_DT,
+                                CalibrationMismatchError, GainFitError,
+                                StimulusGain, SweepSample, fit_gain,
+                                load_calibration, save_calibration, sweep)
 from hdcnav.kernel import build_kernel, kernel_hash
 from hdcnav.network import (DEFAULT_DT, DegenerateActivityError, HDCNetwork,
                             TurningStimulus)
@@ -98,8 +98,8 @@ def test_fit_refuses_a_gain_the_sweep_does_not_support(kernel, samples, message)
 
 
 def test_sweep_marks_reversed_bump_degenerate(kernel):
-    # At 5.0 the bump runs backwards (about -9.8 rad/s) instead of collapsing.
-    samples = sweep(kernel, [0.0, 0.02, 0.04, 3.0, 5.0], duration=2.0)
+    # At 5.0 the bump runs backwards (about -9.7 rad/s) instead of collapsing.
+    samples = sweep(kernel, [0.0, 0.02, 0.04, 3.0, 5.0])
     assert [s.degenerate for s in samples] == [False, False, False, True, True]
     assert samples[4].velocity < 0.0
     with pytest.raises(GainFitError, match=r"excluded levels: 0 \(not positive\), "
@@ -158,36 +158,33 @@ def test_sweep_input_validation(kernel):
         sweep(kernel, [0.02, 0.01])  # not ascending
     with pytest.raises(ValueError):
         sweep(kernel, [-0.01, 0.02])
-    with pytest.raises(ValueError):
-        sweep(kernel, [0.01, 0.02], duration=1.0)
+    with pytest.raises(TypeError):  # the sweep length is fixed
+        sweep(kernel, [0.01, 0.02], duration=8.0)
 
 
-@pytest.mark.parametrize("levels, duration", [
-    pytest.param([], 4.0, id="levels0"),
-    pytest.param([0.01, float("nan")], 4.0, id="levels1"),
-    pytest.param([0.01, float("inf")], 4.0, id="levels2"),
-    pytest.param([-0.01, 0.02], 4.0, id="levels3"),
-    pytest.param([0.02, 0.02, 0.03], 4.0, id="levels-repeated"),
-    pytest.param([0.01, 0.02], float("inf"), id="duration-inf"),
-    pytest.param([0.01, 0.02], float("nan"), id="duration-nan"),
+@pytest.mark.parametrize("levels", [
+    pytest.param([], id="levels0"),
+    pytest.param([0.01, float("nan")], id="levels1"),
+    pytest.param([0.01, float("inf")], id="levels2"),
+    pytest.param([-0.01, 0.02], id="levels3"),
+    pytest.param([0.02, 0.02, 0.03], id="levels-repeated"),
 ])
-def test_sweep_refuses_bad_levels_before_simulating(kernel, monkeypatch, levels,
-                                                    duration):
+def test_sweep_refuses_bad_levels_before_simulating(kernel, monkeypatch, levels):
     def no_network(*args, **kwargs):
         raise AssertionError("sweep built a network before validating its levels")
 
     monkeypatch.setattr(calibration, "HDCNetwork", no_network)
     with pytest.raises(ValueError):
-        sweep(kernel, levels, duration=duration)
+        sweep(kernel, levels)
 
 
-def _sequential_sweep(kernel, levels, duration):
+def _sequential_sweep(kernel, levels):
     """One network per level, as sweeps were run before batching."""
     velocities = []
     for level in levels:
         net = HDCNetwork(kernel)
         net.init_at(np.pi)
-        n_frames = int(round(duration / SWEEP_FRAME_DT))
+        n_frames = int(round(SWEEP_DURATION / SWEEP_FRAME_DT))
         try:
             headings = [net.decode()]
             for _ in range(n_frames):
@@ -204,8 +201,8 @@ def _sequential_sweep(kernel, levels, duration):
 
 def test_sweep_matches_sequential_reference(kernel):
     levels = [0.02, 0.04, 2.0]   # the bump collapses at 2.0
-    samples = sweep(kernel, levels, duration=2.0)
-    reference = _sequential_sweep(kernel, levels, 2.0)
+    samples = sweep(kernel, levels)
+    reference = _sequential_sweep(kernel, levels)
     assert [s.stimulus for s in samples] == levels
     assert [s.degenerate for s in samples] == [False, False, True]
     assert np.isnan(samples[2].velocity) and np.isnan(reference[2])
@@ -214,7 +211,7 @@ def test_sweep_matches_sequential_reference(kernel):
 
 
 def test_sweep_velocities_increase(kernel):
-    samples = sweep(kernel, [0.02, 0.04, 0.06], duration=2.0)
+    samples = sweep(kernel, [0.02, 0.04, 0.06])
     velocities = [s.velocity for s in samples]
     assert all(not s.degenerate for s in samples)
     assert velocities[0] > 0.0

@@ -12,7 +12,7 @@ import hdcnav
 from hdcnav.cli import main
 from hdcnav.io import SyntheticProfile, generate, read_csv, write_csv
 from hdcnav.kernel import build_kernel, kernel_hash, load_kernel
-from hdcnav.calibration import save_calibration
+from hdcnav.calibration import fit_gain, save_calibration, sweep
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +103,6 @@ def test_calibrate_custom_stimuli(tmp_path, kernel_file):
     table = tmp_path / "sweep.csv"
     assert main(["calibrate", "--kernel", kernel_file,
                  "--stimuli", "0.02,0.03,0.04,0.05,0.06",
-                 "--duration", "2",
                  "--out", str(out), "--sweep-csv", str(table)]) == 0
     doc = json.loads(out.read_text())
     assert doc["fit_r2"] >= 0.99
@@ -125,7 +124,7 @@ def test_calibrate_sweep_csv_blanks_a_collapsed_level(tmp_path, kernel_file):
     # The bump collapses at 2.0: its velocity is NaN, written as a blank cell.
     table = tmp_path / "sweep.csv"
     assert main(["calibrate", "--kernel", kernel_file,
-                 "--stimuli", "0.02,0.03,0.04,0.05,0.06,2.0", "--duration", "2",
+                 "--stimuli", "0.02,0.03,0.04,0.05,0.06,2.0",
                  "--out", str(tmp_path / "calib.json"), "--sweep-csv", str(table)]) == 0
     rows = table.read_text().splitlines()
     assert rows[-1] == "2,,1"
@@ -276,6 +275,8 @@ def test_usage_errors_exit_2_before_reading_files(tmp_path, kernel_file,
     report = ["--report", str(tmp_path / "report.json")]
     for argv in (["calibrate", *kernel, "--stimuli", "abc",
                   "--out", str(tmp_path / "calibration.json")],
+                 ["calibrate", *kernel, "--duration", "8",
+                  "--out", str(tmp_path / "calibration.json")],
                  ["track", *calibration, *trajectory, *report],
                  ["track", *kernel, *trajectory, *report],
                  ["track", *kernel, *calibration, *report],
@@ -365,6 +366,15 @@ def test_synthesize_without_options_builds_default_kernel(tmp_path, monkeypatch)
     assert kernel_hash(load_kernel("kernel.json")) == kernel_hash(build_kernel())
 
 
+def test_calibrate_without_options_writes_the_default_calibration(tmp_path, monkeypatch,
+                                                                 kernel, kernel_file):
+    monkeypatch.chdir(tmp_path)
+    assert main(["calibrate", "--kernel", kernel_file]) == 0
+    save_calibration(fit_gain(sweep(kernel), kernel), tmp_path / "expected.json")
+    assert ((tmp_path / "calibration.json").read_bytes()
+            == (tmp_path / "expected.json").read_bytes())
+
+
 def test_generate_without_options_writes_default_profile(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["generate"]) == 0
@@ -398,7 +408,8 @@ def test_track_refuses_calibration_without_alpha(tmp_path, kernel_file,
 _PARITY_CASES = [
     ("synthesize", [], "--out", "b", 0.3, 0.32),
     ("synthesize", [], "--out", "n", 64, 48),
-    ("calibrate", ["--kernel", "{kernel}"], "--out", "duration", 2.5, 3.0),
+    ("calibrate", ["--kernel", "{kernel}"], "--out", "stimuli",
+     "0.02,0.03,0.04,0.05,0.06", "0.03,0.04,0.05,0.06,0.07"),
     ("track", ["--kernel", "{kernel}", "--calibration", "{calibration}",
                "--trajectory", "{trajectory}"], "--samples", "initial_heading", 0.5, 1.0),
     ("bench", ["--kernel", "{kernel}", "--calibration", "{calibration}",

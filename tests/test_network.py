@@ -51,19 +51,21 @@ def test_decode_rejects_flat_activity(kernel):
 
 
 def test_decode_refuses_a_non_finite_state(kernel, settled):
-    # One NaN rate, or an all-inf heading layer (numpy's own matmul warning
-    # silenced), is refused by a single network and is NaN in a batch.
+    # One NaN or inf rate, or an all-inf heading layer (numpy's own matmul
+    # warning silenced), is refused by a single network and is NaN in a batch.
+    # Unrefused, one inf rate would decode to arctan2(inf, inf) = pi/4.
     net = HDCNetwork(kernel)
-    net.rates = settled.rates.copy()
-    net.rates[0, 3] = np.nan
-    with pytest.raises(DegenerateActivityError, match="not finite"):
-        net.decode()
+    for cell, value in ((3, np.nan), (10, np.inf)):
+        net.rates = settled.rates.copy()
+        net.rates[0, cell] = value
+        with pytest.raises(DegenerateActivityError, match="not finite"):
+            net.decode()
+        net.rates = np.stack((settled.rates, net.rates), axis=-1)
+        headings = net.decode()
+        assert headings[0] == settled.decode() and np.isnan(headings[1])
     with np.errstate(invalid="ignore"), pytest.raises(DegenerateActivityError,
                                                       match="not finite"):
         decode_rates(kernel, np.full(kernel.n, np.inf))
-    net.rates = np.stack((settled.rates, net.rates), axis=-1)
-    headings = net.decode()
-    assert headings[0] == settled.decode() and np.isnan(headings[1])
 
 
 def test_decode_maps_tiny_negative_angle_to_zero(kernel):
@@ -97,7 +99,7 @@ def settled_rates(kernel, heading):
 def test_batch_matches_single_networks(kernel):
     headings = np.array([0.5, 2.0, 4.0])
     left, right = np.array([0.03, 0.0, 0.05]), np.array([0.0, 0.04, 0.02])
-    frames = (0.0103, 0.0097, 0.0104) * 10  # off the 0.5 ms Euler grid
+    frames = (0.0103, 0.0097, 0.0104) * 10  # off the 2 ms Euler grid
     batch = HDCNetwork(kernel)
     batch.rates = np.stack([settled_rates(kernel, h) for h in headings], axis=-1)
     for frame_dt in frames:
